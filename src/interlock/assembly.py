@@ -39,7 +39,10 @@ class TruchetTiling:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")
-        o = np.array(self.orientation, dtype=np.int64)
+        o = np.asarray(self.orientation)
+        if o.dtype.kind not in "biuf" or not np.all(np.isfinite(o) & (o == np.round(o))):
+            raise ValueError("orientations must be integers")
+        o = o.astype(np.int64)
         if o.shape != (self.rows, self.cols):
             raise ValueError("orientation grid shape mismatch")
         if o.size and (o.min() < 0 or o.max() > 3):
@@ -173,11 +176,11 @@ def build_assembly(t: TruchetTiling, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) ->
     """Place one oriented block per cell on the diamond lattice."""
     if not validate_tiling(t):
         raise ValueError("invalid tiling: adjacent colors clash")
-    if gap < 0.0:
-        raise ValueError("gap must be nonnegative")
+    if not 0.0 <= gap < np.inf:
+        raise ValueError("gap must be finite and nonnegative")
     a, b, c = (float(s) for s in scale)
-    if a <= 0.0 or b <= 0.0 or c <= 0.0:
-        raise ValueError("scale factors must be positive")
+    if not all(0.0 < s < np.inf for s in (a, b, c)):
+        raise ValueError("scale factors must be finite and positive")
     blocks = []
     for r in range(1, t.rows + 1):
         for col in range(1, t.cols + 1):

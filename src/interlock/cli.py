@@ -3,14 +3,13 @@
 
 Exit codes: 0 success, 2 invalid input, 3 IO failure, 4 unconverged flow.
 All file outputs are deterministic; floats are written with fixed
-6-decimal formatting.  INTERLOCK_THREADS caps numba parallelism.
+6-decimal formatting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -58,8 +57,12 @@ def load_tiling(path) -> assembly.TruchetTiling:
     """Read a tiling from JSON: {"rows", "cols", "orientations" row-major}."""
     with open(path, "r", encoding="ascii") as fh:
         data = json.load(fh)
-    rows, cols = int(data["rows"]), int(data["cols"])
-    flat = np.array(data["orientations"], dtype=np.int64)
+    if not isinstance(data, dict):
+        raise ValueError("tiling JSON must be an object with rows, cols and orientations")
+    rows, cols = data["rows"], data["cols"]
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError("rows and cols must be integers")
+    flat = np.asarray(data["orientations"])
     if flat.shape != (rows * cols,):
         raise ValueError("orientations must hold rows*cols entries")
     return assembly.TruchetTiling(rows, cols, flat.reshape(rows, cols))
@@ -123,6 +126,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID
+    if cfg.top_k < 0:
+        raise ValueError("--top-k must be nonnegative")
     t0 = time.perf_counter()
     cands = enumeration.enumerate_tilings(cfg.rows, cfg.cols)
     ranked = enumeration.screen(cands, cfg.metric)
@@ -184,20 +189,7 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("INTERLOCK_THREADS")
-    if not cap:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, int(cap)))
-    except (ImportError, ValueError):
-        pass
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -14,13 +14,17 @@ smallest orientation grid in its class.
 
 The first-row/first-column propagation is cross-checked against a brute
 force scan of all 4^(m*n) orientation grids on small grids.
+
+Candidates travel as arrays of row and column letters; TruchetTiling
+objects are built only when a caller indexes one, such as the top-k
+export.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,13 +40,32 @@ ORIENT_FROM_VH = np.array([[0, 1], [3, 2]], dtype=np.int64)
 METRICS = ("max_load", "cv", "loaded_cells")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+@dataclass(frozen=True, eq=False)
+class CandidateSet(Sequence):
+    """Same-size candidates as letter arrays: `h` holds the (B, m) row
+    letters (0=W, 1=E) and `v` the (B, n) column letters (0=N, 1=S).
+    `evaluate` fills `frame_load`, the (B, f) loads on the frame cells in
+    linear-index order, and `metrics`, one (B,) array per name in METRICS.
+    Indexing builds candidate i as a TruchetTiling on access."""
+
     rows: int
     cols: int
-    tilings: tuple
-    results: tuple = None
-    metrics: tuple = None
+    h: np.ndarray
+    v: np.ndarray
+    frame_load: np.ndarray | None = None
+    metrics: dict | None = None
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __getitem__(self, i) -> TruchetTiling:
+        i = range(len(self))[i]
+        return TruchetTiling(self.rows, self.cols, grid_from_letters(self.h[i], self.v[i]))
+
+    @property
+    def tilings(self) -> CandidateSet:
+        """The candidates as a sequence of TruchetTiling objects."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -50,15 +73,39 @@ class RankedCandidate:
     rank: int
     position: int
     tiling: TruchetTiling
-    result: flows.FlowResult
     metrics: dict
-    converged: bool
+
+
+@dataclass(frozen=True, eq=False)
+class Ranking(Sequence):
+    """Evaluated candidates in rank order: rank i + 1 is candidate
+    `order[i]`.  Indexing builds a RankedCandidate on access."""
+
+    candidates: CandidateSet
+    order: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        c, position = self.candidates, int(self.order[i])
+        return RankedCandidate(
+            rank=i + 1,
+            position=position,
+            tiling=c[position],
+            metrics={k: c.metrics[k][position].item() for k in METRICS},
+        )
 
 
 def grid_from_letters(h_bits, v_bits) -> np.ndarray:
+    """Orientation grid of one tiling from (m,) and (n,) letters, or the
+    (B, m, n) grids of a batch from (B, m) and (B, n) letters."""
     h = np.asarray(h_bits, dtype=np.int64)
     v = np.asarray(v_bits, dtype=np.int64)
-    return ORIENT_FROM_VH[v[None, :], h[:, None]]
+    return ORIENT_FROM_VH[v[..., None, :], h[..., :, None]]
 
 
 def letters_from_grid(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,21 +137,21 @@ def enumerate_tilings(m: int, n: int) -> CandidateSet:
     order.  Small grids are cross-checked against brute force."""
     if m < 3 or n < 3:
         raise ValueError("need m, n >= 3")
-    tilings = []
-    for v_tail in itertools.product((0, 1), repeat=n - 2):
-        v = np.array((0, 0) + v_tail, dtype=np.int64)
-        for h_tail in itertools.product((0, 1), repeat=m - 1):
-            h = np.array((0,) + h_tail, dtype=np.int64)
-            tilings.append(TruchetTiling(m, n, grid_from_letters(h, v)))
+    # Candidate i holds the free column letters in its high bits and the
+    # free row letters in its low bits, most significant letter first.
+    idx = np.arange(2 ** (m + n - 3), dtype=np.int64)[:, None]
+    h = np.zeros((len(idx), m), dtype=np.int64)
+    v = np.zeros((len(idx), n), dtype=np.int64)
+    h[:, 1:] = (idx >> np.arange(m - 2, -1, -1)) & 1
+    v[:, 2:] = (idx >> np.arange(m + n - 4, m - 2, -1)) & 1
     if m * n <= 9:
-        brute = brute_force_tilings(m, n)
-        ours = {t.orientation.tobytes() for t in tilings}
-        theirs = {t.orientation.tobytes() for t in brute}
+        ours = {o.tobytes() for o in grid_from_letters(h, v)}
+        theirs = {t.orientation.tobytes() for t in brute_force_tilings(m, n)}
         if ours != theirs:
             raise RuntimeError(
                 "internal consistency error: propagation and brute force disagree"
             )
-    return CandidateSet(m, n, tuple(tilings))
+    return CandidateSet(m, n, h, v)
 
 
 def _edge_luts() -> tuple[np.ndarray, np.ndarray]:
@@ -149,136 +196,82 @@ def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
     return sorted(seen.values(), key=lambda t: tuple(t.orientation.ravel()))
 
 
-def _closed_form_batch(tilings, m: int, n: int):
-    """Vectorized absorbing-chain solve for a batch of same-size tilings.
-    Returns the per-candidate frame-load grids, shape (B, m, n)."""
-    core_cells = [(r, c) for r in range(1, m - 1) for c in range(1, n - 1)]
-    frame_cells = [
-        (r, c)
-        for r in range(m)
-        for c in range(n)
-        if r in (0, m - 1) or c in (0, n - 1)
-    ]
-    core_pos = {cell: i for i, cell in enumerate(core_cells)}
-    frame_pos = {cell: i for i, cell in enumerate(frame_cells)}
-    k, f = len(core_cells), len(frame_cells)
-    B = len(tilings)
-
-    hb = np.empty((B, m), dtype=np.int64)
-    vb = np.empty((B, n), dtype=np.int64)
-    for i, t in enumerate(tilings):
-        hb[i], vb[i] = letters_from_grid(t.orientation)
-
-    Q = np.zeros((B, k, k))
-    R = np.zeros((B, k, f))
-    for ci, (r, c) in enumerate(core_cells):
-        for bits, targets in (
-            (hb[:, r], ((r, c - 1), (r, c + 1))),
-            (vb[:, c], ((r - 1, c), (r + 1, c))),
-        ):
-            for bit, cell in enumerate(targets):
-                sel = bits == bit
-                if cell in core_pos:
-                    Q[sel, ci, core_pos[cell]] += 0.5
-                else:
-                    R[sel, ci, frame_pos[cell]] += 0.5
-
-    system = np.broadcast_to(np.eye(k), (B, k, k)) - np.transpose(Q, (0, 2, 1))
-    y = np.linalg.solve(system, np.ones((B, k, 1)))[..., 0]
-    frame_vec = np.einsum("bkf,bk->bf", R, y)
-    grids = np.zeros((B, m, n))
-    for cell, i in frame_pos.items():
-        grids[:, cell[0], cell[1]] = frame_vec[:, i]
-    return grids
-
-
 def evaluate(c: CandidateSet, chunk: int = 2048) -> CandidateSet:
-    """Flows for every candidate: batched closed-form solve, falling back
-    to the per-candidate solvers if a batch turns out singular."""
+    """Frame loads and metrics for every candidate.
+
+    Each chunk solves the absorbing chain (I - Q^T) y = 1 on the core
+    densely, with the arcs read off the letters: a core cell leans on the
+    neighbour west (row letter W) or east (E) and north (N) or south (S),
+    with weight 1/2 each.  A frame cell has one core neighbour, so its
+    load is half the outflow y of that neighbour if it leans on the cell.
+    """
     m, n = c.rows, c.cols
-    results = []
-    metrics = []
-    for start in range(0, len(c.tilings), chunk):
-        batch = c.tilings[start : start + chunk]
-        try:
-            grids = _closed_form_batch(batch, m, n)
-            batch_results = []
-            for t, grid in zip(batch, grids):
-                frame_load = {
-                    t.linear_index(r + 1, col + 1): float(grid[r, col])
-                    for r in range(m)
-                    for col in range(n)
-                    if r in (0, m - 1) or col in (0, n - 1)
-                }
-                batch_results.append(flows.FlowResult(frame_load, 0.0, 0, True))
-        except np.linalg.LinAlgError:
-            batch_results = [_single_flow(t) for t in batch]
-        for res in batch_results:
-            results.append(res)
-            metrics.append(flows.flow_metrics(res) if res.converged else None)
-    return CandidateSet(m, n, c.tilings, tuple(results), tuple(metrics))
+    cells = np.arange(m * n).reshape(m, n)
+    core = cells[1:-1, 1:-1].ravel()
+    frame = np.setdiff1d(cells, core)
+    k = len(core)
+    is_core = np.isin(cells.ravel(), core)
+    slot = np.empty(m * n, dtype=np.int64)
+    slot[core] = np.arange(k)
+    slot[frame] = np.arange(len(frame))
+    row, col = np.divmod(core, n)
+    # the cell a core cell leans on, per core cell (k,) and letter (2,)
+    h_target = core[:, None] + np.array([-1, 1])
+    v_target = core[:, None] + np.array([-n, n])
+    inner = np.arange(k)
+
+    frame_load = np.zeros((len(c), len(frame)))
+    for start in range(0, len(c), chunk):
+        hb, vb = c.h[start : start + chunk], c.v[start : start + chunk]
+        targets = (h_target[inner, hb[:, row]], v_target[inner, vb[:, col]])
+        system = np.zeros((len(hb), k, k))
+        system[:, inner, inner] = 1.0
+        for target in targets:
+            b, i = np.nonzero(is_core[target])
+            system[b, slot[target[b, i]], i] = -0.5
+        y = np.linalg.solve(system, np.ones((len(hb), k, 1)))[..., 0]
+        loads = frame_load[start : start + chunk]
+        for target in targets:
+            b, i = np.nonzero(~is_core[target])
+            loads[b, slot[target[b, i]]] = 0.5 * y[b, i]
+    return replace(c, frame_load=frame_load, metrics=flows.frame_metrics(frame_load))
 
 
-def _single_flow(t: TruchetTiling) -> flows.FlowResult:
-    from .blocking import dbg_combinatorial
-
-    A = flows.transfer_matrix(dbg_combinatorial(t))
-    x = flows.initial_load(t)
-    try:
-        return flows.closed_form(A, x)
-    except flows.FlowError:
-        return flows.iterate(A, x)
-
-
-def screen(c: CandidateSet, metric: str = "max_load") -> list[RankedCandidate]:
-    """Rank all candidates by the chosen metric, ascending.  Unconverged
-    candidates sort last; ties keep canonical enumeration order."""
+def screen(c: CandidateSet, metric: str = "max_load") -> Ranking:
+    """Rank all candidates by the chosen metric, ascending; ties keep
+    canonical enumeration order."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    if not c.tilings:
+    if not len(c):
         raise ValueError("empty candidate set")
-    if c.results is None:
+    if c.metrics is None:
         c = evaluate(c)
-    order = sorted(
-        range(len(c.tilings)),
-        key=lambda i: (0, c.metrics[i][metric], i)
-        if c.results[i].converged
-        else (1, 0.0, i),
-    )
-    ranked = []
-    for rank, i in enumerate(order, start=1):
-        ranked.append(
-            RankedCandidate(
-                rank=rank,
-                position=i,
-                tiling=c.tilings[i],
-                result=c.results[i],
-                metrics=c.metrics[i] or {},
-                converged=c.results[i].converged,
-            )
-        )
-    return ranked
+    return Ranking(c, np.argsort(c.metrics[metric], kind="stable"))
 
 
 def orientation_string(t: TruchetTiling) -> str:
     return "".join(str(int(v)) for v in t.orientation.ravel())
 
 
-def write_ranking_csv(ranked, path) -> None:
+def _ranked_rows(ranked: Ranking):
+    """(rank, orientation string, max_load, cv, loaded_cells) per ranked
+    candidate, as Python values."""
+    c, order = ranked.candidates, ranked.order
+    grids = grid_from_letters(c.h[order], c.v[order]).reshape(len(order), -1)
+    digits = (grids + ord("0")).astype(np.uint8)
+    strings = [row.tobytes().decode("ascii") for row in digits]
+    metrics = (c.metrics[k][order].tolist() for k in ("max_load", "cv", "loaded_cells"))
+    return zip(range(1, len(order) + 1), strings, *metrics)
+
+
+def write_ranking_csv(ranked: Ranking, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("rank,orientations,converged,max_load,cv,loaded_cells\n")
-        for rc in ranked:
-            if rc.converged:
-                fh.write(
-                    f"{rc.rank},{orientation_string(rc.tiling)},true,"
-                    f"{rc.metrics['max_load']:.6f},{rc.metrics['cv']:.6f},"
-                    f"{rc.metrics['loaded_cells']}\n"
-                )
-            else:
-                fh.write(f"{rc.rank},{orientation_string(rc.tiling)},false,,,\n")
+        for rank, s, max_load, cv, loaded in _ranked_rows(ranked):
+            fh.write(f"{rank},{s},true,{max_load:.6f},{cv:.6f},{loaded}\n")
 
 
-def write_ranking_json(ranked, rows, cols, metric, path) -> None:
+def write_ranking_json(ranked: Ranking, rows, cols, metric, path) -> None:
     payload = {
         "rows": rows,
         "cols": cols,
@@ -287,15 +280,17 @@ def write_ranking_json(ranked, rows, cols, metric, path) -> None:
         "dedup_group": DEDUP_GROUP,
         "candidates": [
             {
-                "rank": rc.rank,
-                "orientations": orientation_string(rc.tiling),
-                "converged": rc.converged,
+                "rank": rank,
+                "orientations": s,
+                "converged": True,
                 "metrics": {
-                    k: (round(v, 6) if isinstance(v, float) else v)
-                    for k, v in sorted(rc.metrics.items())
+                    "cv": round(cv, 6),
+                    "iterations": 0,  # the closed form takes no steps
+                    "loaded_cells": loaded,
+                    "max_load": round(max_load, 6),
                 },
             }
-            for rc in ranked
+            for rank, s, max_load, cv, loaded in _ranked_rows(ranked)
         ],
     }
     with open(path, "w", encoding="ascii") as fh:

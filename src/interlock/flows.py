@@ -121,7 +121,7 @@ def _result(A: TransferMatrix, x: np.ndarray, iterations: int, converged: bool) 
 
 def iterate(A: TransferMatrix, x: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> FlowResult:
     """Propagate until the residual core mass drops below tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -140,43 +140,21 @@ def iterate(A: TransferMatrix, x: np.ndarray, tol: float = 1e-12, max_iter: int 
     return _result(A, x, max_iter, False)
 
 
-def _trapped_component(A: TransferMatrix):
-    """A strongly connected core component with no arc leaving it, if any
-    exists (1-based indices), else None."""
-    k = len(A.core)
-    if k == 0:
-        return None
-    Q = A.matrix[A.core][:, A.core].tocsr()
-    R = A.matrix[A.core][:, A.frame].tocsr()
+def _drain_check(Q: sp.csr_matrix, R: sp.csr_matrix):
+    """The first closed class of core states, as core positions, or None.
+
+    A core state fails to drain only if it reaches a class of the
+    strongly connected condensation that no arc leaves; a class leaks when
+    one of its Q arcs crosses to another class or one of its rows has an
+    R entry.  One pass over the stored entries, O(nnz).
+    """
     n_comp, labels = connected_components(Q, directed=True, connection="strong")
-    leaks_to_frame = np.asarray(R.sum(axis=1)).ravel() > 0.0
-    for comp in range(n_comp):
-        members = np.nonzero(labels == comp)[0]
-        if leaks_to_frame[members].any():
-            continue
-        sub = Q[members]
-        inside = np.zeros(k, dtype=bool)
-        inside[members] = True
-        if not inside[sub.indices].all():
-            continue
-        return tuple(int(A.core[i]) + 1 for i in members)
-    return None
-
-
-def _spectral_radius_est(Q: sp.csr_matrix, iters: int = 500) -> float:
-    k = Q.shape[0]
-    if k == 0 or Q.nnz == 0:
-        return 0.0
-    v = np.full(k, 1.0 / k)
-    rho = 0.0
-    for _ in range(iters):
-        w = Q @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        rho = nw / np.linalg.norm(v)
-        v = w / nw
-    return float(rho)
+    leaks = np.zeros(n_comp, dtype=bool)
+    heads = labels[np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))]
+    leaks[heads[heads != labels[Q.indices]]] = True
+    leaks[labels[np.diff(R.indptr) > 0]] = True
+    closed = np.flatnonzero(~leaks)
+    return np.flatnonzero(labels == closed[0]) if len(closed) else None
 
 
 def closed_form(A: TransferMatrix, x: np.ndarray) -> FlowResult:
@@ -185,27 +163,41 @@ def closed_form(A: TransferMatrix, x: np.ndarray) -> FlowResult:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n,):
         raise ValueError("load vector length mismatch")
-    trapped = _trapped_component(A)
-    if trapped is not None:
-        raise FlowError(
-            f"non-absorbing cycle: core component {trapped} never drains",
-            component=trapped,
-        )
-    k = len(A.core)
     out = np.zeros(A.n)
     out[A.frame] = x[A.frame]
+    k = len(A.core)
     if k:
-        Q = A.matrix[A.core][:, A.core].tocsr()
-        if _spectral_radius_est(Q) >= 1.0 - 1e-12:
-            raise FlowError("non-absorbing cycle: spectral radius of Q is not < 1")
-        R = A.matrix[A.core][:, A.frame].tocsr()
+        core_rows = A.matrix[A.core]
+        Q = core_rows[:, A.core].tocsr()
+        R = core_rows[:, A.frame].tocsr()
+        trapped = _drain_check(Q, R)
+        if trapped is not None:
+            trapped = tuple(int(A.core[i]) + 1 for i in trapped)
+            raise FlowError(
+                f"non-absorbing cycle: core component {trapped} never drains",
+                component=trapped,
+            )
         system = (sp.identity(k, format="csc") - Q.T.tocsc()).tocsc()
-        y = spsolve(system, x[A.core])
-        if k == 1:
-            y = np.atleast_1d(y)
-        out[A.frame] += R.T @ y
+        out[A.frame] += R.T @ spsolve(system, x[A.core])
     frame_load = {int(j) + 1: float(out[j]) for j in A.frame}
     return FlowResult(frame_load, 0.0, 0, True)
+
+
+def frame_metrics(loads: np.ndarray) -> dict:
+    """max load, loaded frame-cell count and coefficient of variation over
+    the loaded cells, for each row of a (B, f) array of frame loads.
+
+    Rows are sorted so the loaded cells form a suffix; rows with the same
+    loaded count are reduced together, each over its own contiguous slice.
+    """
+    loads = np.sort(np.asarray(loads, dtype=np.float64), axis=1)
+    count = (loads > LOADED_EPS).sum(axis=1)
+    cv = np.zeros(len(loads))
+    for n_loaded in np.unique(count[count > 0]):
+        rows = np.flatnonzero(count == n_loaded)
+        loaded = loads[rows, loads.shape[1] - n_loaded :]
+        cv[rows] = loaded.std(axis=1) / loaded.mean(axis=1)
+    return {"max_load": loads[:, -1], "loaded_cells": count, "cv": cv}
 
 
 def flow_metrics(r: FlowResult) -> dict:
@@ -213,13 +205,11 @@ def flow_metrics(r: FlowResult) -> dict:
     loaded cells, iterations."""
     if not r.converged:
         raise ValueError("unconverged flow has no metrics")
-    loads = np.array(sorted(r.frame_load.values()), dtype=np.float64)
-    loaded = loads[loads > LOADED_EPS]
-    cv = float(loaded.std() / loaded.mean()) if len(loaded) else 0.0
+    m = frame_metrics([list(r.frame_load.values())])
     return {
-        "max_load": float(loads.max()) if len(loads) else 0.0,
-        "loaded_cells": int(len(loaded)),
-        "cv": cv,
+        "max_load": float(m["max_load"][0]),
+        "loaded_cells": int(m["loaded_cells"][0]),
+        "cv": float(m["cv"][0]),
         "iterations": r.iterations,
     }
 

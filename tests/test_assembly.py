@@ -181,6 +181,24 @@ def test_build_assembly_validates_input():
         build_assembly(good, gap=-0.1)
     with pytest.raises(ValueError):
         build_assembly(good, scale=(1.0, 0.0, 1.0))
+    nan, inf = float("nan"), float("inf")
+    for gap, scale in ((nan, 1.0), (inf, 1.0), (0.0, inf), (0.0, nan)):
+        with pytest.raises(ValueError):
+            build_assembly(good, gap=gap, scale=(scale, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("value", [0.7, 1.5, float("nan"), float("inf"), "1"])
+def test_tiling_rejects_non_integral_orientations(value):
+    grid = np.zeros((3, 3), dtype=object)
+    grid[1, 1] = value
+    with pytest.raises(ValueError, match="integers"):
+        TruchetTiling(3, 3, grid if value == "1" else grid.astype(float))
+
+
+def test_tiling_accepts_integral_floats():
+    t = TruchetTiling(1, 2, np.array([[0.0, 3.0]]))
+    assert t.orientation.dtype == np.int64
+    assert t.orientation.tolist() == [[0, 3]]
 
 
 def test_export_assembly_manifest(tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -157,11 +158,40 @@ def test_missing_tiling_file_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
-def test_malformed_tiling_json_is_invalid(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[3, 3, [0, 0, 0, 0, 0, 0, 0, 0, 0]]",
+        '{"rows": 3.5, "cols": 3, "orientations": [0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"rows": null, "cols": 3, "orientations": []}',
+        '{"rows": 3, "cols": 3, "orientations": [0.7, 0, 0, 0, 0, 0, 0, 0, 0]}',
+    ],
+    ids=["not-json", "list", "float-rows", "null-rows", "float-orientation"],
+)
+def test_malformed_tiling_json_is_invalid(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, _ = run(capsys, "assemble", "--tiling", str(bad), "--out", str(tmp_path / "x"))
+    bad.write_text(text)
+    code, _, stderr = run(capsys, "assemble", "--tiling", str(bad), "--out", str(tmp_path / "x"))
     assert code == 2
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--group", "p4", "--rows", "4", "--cols", "4", "--tol", "nan"],
+        ["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--gap", "nan"],
+        ["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--scale", "inf"],
+        ["enumerate", "--rows", "3", "--cols", "3", "--top-k", "-5"],
+    ],
+    ids=["tol-nan", "gap-nan", "scale-inf", "top-k-negative"],
+)
+def test_out_of_range_numbers_are_invalid(tmp_path, capsys, argv):
+    code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_clashing_tiling_is_invalid(tmp_path, capsys):
@@ -172,11 +202,33 @@ def test_clashing_tiling_is_invalid(tmp_path, capsys):
     assert "error:" in stderr
 
 
-def test_thread_cap_env_smoke(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("INTERLOCK_THREADS", "1")
+# sha256 of ranking.csv and ranking.json for `enumerate --rows 6 --cols 6`
+GOLDEN_RANKINGS = {
+    "max_load": (
+        "40417ef79f25a183d4e146af523a43c86f988c63a0d7b1c3c922c17c81cc41fc",
+        "a8d7ec76eb49daa759146888580c6d3427669043cf35b9fd786a35a508800f13",
+    ),
+    "cv": (
+        "ba35e624034e422fbd46f8ca210b92b1022a7786367a4ab38d7eea5b60e26ac0",
+        "3f9de4a14ecde860a446a292c2468edc3aa584d6343fe0efc39de3637a86c332",
+    ),
+    "loaded_cells": (
+        "012f07458107c839f32201116f9adef11804be3e117c8d7722f47cfa5e6a3584",
+        "d04706f793ebd8d20639c7b40fd39b73a2da26e44223bd31a3d2c57a283a6b6d",
+    ),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(GOLDEN_RANKINGS))
+def test_enumerate_rankings_are_byte_identical_to_golden(tmp_path, capsys, metric):
+    out = tmp_path / metric
     code, stdout, _ = run(
-        capsys, "flow", "--group", "p1", "--rows", "4", "--cols", "4",
-        "--out", str(tmp_path / "x"),
+        capsys, "enumerate", "--rows", "6", "--cols", "6", "--metric", metric, "--out", str(out)
     )
     assert code == 0
-    assert "total=4.000000" in stdout
+    assert "candidates=512" in stdout
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("ranking.csv", "ranking.json")
+    )
+    assert digests == GOLDEN_RANKINGS[metric]

@@ -4,14 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from interlock.assembly import core_indices, frame_indices, tiling_from_group
+from interlock.assembly import TruchetTiling, core_indices, frame_indices, tiling_from_group
 from interlock.blocking import BlockingGraph, dbg_combinatorial
+from interlock.enumeration import grid_from_letters
 from interlock.flows import (
     FlowError,
     closed_form,
     flow_grid,
     flow_metrics,
+    frame_metrics,
     initial_load,
     iterate,
     step,
@@ -123,8 +127,9 @@ def test_iterate_parameter_validation():
     t = tiling_from_group("p1", 3, 3)
     A = transfer_matrix(dbg_combinatorial(t))
     x = initial_load(t)
-    with pytest.raises(ValueError):
-        iterate(A, x, tol=0.0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            iterate(A, x, tol=tol)
     with pytest.raises(ValueError):
         iterate(A, x, max_iter=0)
 
@@ -135,6 +140,48 @@ def test_trapped_cycle_raises_in_closed_form():
     with pytest.raises(FlowError, match="never drains") as exc:
         closed_form(A, x)
     assert exc.value.component == (1, 2, 3)
+
+
+def test_drain_check_reports_the_first_closed_class():
+    # {1, 2, 3} and {8, 9, 10} are closed; node 4 feeds the first but also
+    # leaks to the frame node 7, and the class {5, 6} drains to it
+    arcs = {(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 7),
+            (5, 6), (5, 7), (6, 5), (6, 7), (7, 7),
+            (8, 9), (8, 10), (9, 8), (9, 10), (10, 8), (10, 9)}
+    A = transfer_matrix(_graph(10, arcs, {7}))
+    with pytest.raises(FlowError, match="never drains") as exc:
+        closed_form(A, np.ones(10))
+    assert exc.value.component == (1, 2, 3)
+
+
+@st.composite
+def letter_tilings(draw):
+    m = draw(st.integers(min_value=3, max_value=7))
+    n = draw(st.integers(min_value=3, max_value=7))
+    h = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    v = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return TruchetTiling(m, n, grid_from_letters(h, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_tilings())
+def test_every_valid_tiling_drains_to_the_frame(t):
+    r = closed_form(transfer_matrix(dbg_combinatorial(t)), initial_load(t))
+    assert r.total_frame_mass() == pytest.approx((t.rows - 2) * (t.cols - 2), abs=1e-9)
+
+
+def test_frame_metrics_match_a_per_row_reduction_bit_for_bit():
+    rng = np.random.default_rng(3)
+    loads = rng.uniform(0.0, 3.0, size=(40, 12))
+    loads[rng.uniform(size=loads.shape) < 0.4] = 0.0
+    loads[0] = 0.0
+    batch = frame_metrics(loads)
+    for row, values in enumerate(loads):
+        ordered = np.sort(values)
+        loaded = ordered[ordered > 1e-9]
+        assert batch["max_load"][row] == ordered.max()
+        assert batch["loaded_cells"][row] == len(loaded)
+        assert batch["cv"][row] == (loaded.std() / loaded.mean() if len(loaded) else 0.0)
 
 
 def test_trapped_cycle_never_converges():
