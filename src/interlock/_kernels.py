@@ -1,57 +1,18 @@
-"""Geometry kernels with a numba fast path and a pure-numpy fallback.
+"""Batched numpy geometry kernels.
 
-Two implementations of every kernel are kept side by side: a scalar/loop
-version compiled with ``numba.njit`` and a vectorized numpy version.  The
-active backend is picked once at import time from the ``INTERLOCK_BACKEND``
-environment variable ("numba" or "numpy"); when the variable is unset the
-compiled path is used if numba imports, otherwise the numpy path.  Both
-paths evaluate the same formulas with the same tolerances and must return
-identical results (covered by the test suite and by
-``benchmarks/bench_kernels.py``).
+Each kernel tests a whole point set or triangle set against a triangle set
+with array operations over all pairs at once.  DET_EPS guards
+near-parallel rays, BARY_EPS flags grazing ray hits near a triangle
+boundary so the caller can retry with a fresh direction, T_EPS rejects
+hits at the ray origin.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+BACKEND = "numpy"
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        """Passthrough decorator used when numba is unavailable."""
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrapper(func):
-            return func
-
-        return wrapper
-
-
-def _pick_backend() -> str:
-    env = os.environ.get("INTERLOCK_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAS_NUMBA:
-            raise ImportError("INTERLOCK_BACKEND=numba but numba is not installed")
-        return "numba"
-    if env:
-        raise ValueError(f"unknown INTERLOCK_BACKEND value: {env!r}")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-# Tolerances shared by both backends.  DET_EPS guards near-parallel rays,
-# BARY_EPS flags grazing ray hits near a triangle boundary so the caller can
-# retry with a fresh direction, T_EPS rejects hits at the ray origin.
 DET_EPS = 1e-12
 BARY_EPS = 1e-9
 T_EPS = 1e-12
@@ -152,36 +113,17 @@ def _tri_cross_one(p, q, tol):
     return min(pmax, qmax) - max(pmin, qmin) > tol * line_len
 
 
-_tri_cross_one_nb = njit(cache=True)(_tri_cross_one)
+def tri_cross_any(ta, tb, tol):
+    """True iff any triangle of ``ta`` properly crosses any of ``tb``.
 
-
-@njit(cache=True)
-def _tri_cross_any_nb(ta, tb, tol):
-    """Compiled pair sweep with a per-pair bounding-box reject."""
-    for i in range(ta.shape[0]):
-        axmin = min(ta[i, 0, 0], ta[i, 1, 0], ta[i, 2, 0])
-        axmax = max(ta[i, 0, 0], ta[i, 1, 0], ta[i, 2, 0])
-        aymin = min(ta[i, 0, 1], ta[i, 1, 1], ta[i, 2, 1])
-        aymax = max(ta[i, 0, 1], ta[i, 1, 1], ta[i, 2, 1])
-        azmin = min(ta[i, 0, 2], ta[i, 1, 2], ta[i, 2, 2])
-        azmax = max(ta[i, 0, 2], ta[i, 1, 2], ta[i, 2, 2])
-        for j in range(tb.shape[0]):
-            if (
-                min(tb[j, 0, 0], tb[j, 1, 0], tb[j, 2, 0]) > axmax + tol
-                or max(tb[j, 0, 0], tb[j, 1, 0], tb[j, 2, 0]) < axmin - tol
-                or min(tb[j, 0, 1], tb[j, 1, 1], tb[j, 2, 1]) > aymax + tol
-                or max(tb[j, 0, 1], tb[j, 1, 1], tb[j, 2, 1]) < aymin - tol
-                or min(tb[j, 0, 2], tb[j, 1, 2], tb[j, 2, 2]) > azmax + tol
-                or max(tb[j, 0, 2], tb[j, 1, 2], tb[j, 2, 2]) < azmin - tol
-            ):
-                continue
-            if _tri_cross_one_nb(ta[i], tb[j], tol):
-                return True
-    return False
-
-
-def _tri_cross_any_np(ta, tb, tol):
-    """Vectorized straddle prefilter, then the scalar test on survivors."""
+    A vectorized straddle prefilter over all pairs, then the exact test on
+    the survivors.
+    """
+    ta = np.ascontiguousarray(ta, dtype=np.float64)
+    tb = np.ascontiguousarray(tb, dtype=np.float64)
+    tol = float(tol)
+    if ta.shape[0] == 0 or tb.shape[0] == 0:
+        return False
     n2 = np.cross(tb[:, 1] - tb[:, 0], tb[:, 2] - tb[:, 0])
     l2 = np.linalg.norm(n2, axis=1)
     n1 = np.cross(ta[:, 1] - ta[:, 0], ta[:, 2] - ta[:, 0])
@@ -206,199 +148,79 @@ def _tri_cross_any_np(ta, tb, tol):
     return False
 
 
-def tri_cross_any(ta, tb, tol):
-    """True iff any triangle of ``ta`` properly crosses any of ``tb``."""
-    ta = np.ascontiguousarray(ta, dtype=np.float64)
-    tb = np.ascontiguousarray(tb, dtype=np.float64)
-    if ta.shape[0] == 0 or tb.shape[0] == 0:
-        return False
-    if BACKEND == "numba":
-        return bool(_tri_cross_any_nb(ta, tb, float(tol)))
-    return bool(_tri_cross_any_np(ta, tb, float(tol)))
-
-
 # ---------------------------------------------------------------------------
 # ray casting (parity point-in-mesh support)
 
 
-def _ray_hits_loop(origin, direction, tris):
-    """Count ray/triangle hits (Moller-Trumbore).
+def ray_hits(origins, directions, tris):
+    """Moller-Trumbore hits of P rays against T triangles.
 
-    Returns (hits, ok); ok is False when any forward hit grazes a triangle
-    boundary, in which case the caller should retry with a new direction.
+    ``origins`` and ``directions`` are (P, 3), ``tris`` is (T, 3, 3).
+    Returns (hits, ok), both (P,): the number of strict forward hits of
+    each ray, and False where a forward hit grazes a triangle boundary, in
+    which case the caller should retry that ray in a new direction.
     """
-    hits = 0
-    ok = True
-    for k in range(tris.shape[0]):
-        e1x = tris[k, 1, 0] - tris[k, 0, 0]
-        e1y = tris[k, 1, 1] - tris[k, 0, 1]
-        e1z = tris[k, 1, 2] - tris[k, 0, 2]
-        e2x = tris[k, 2, 0] - tris[k, 0, 0]
-        e2y = tris[k, 2, 1] - tris[k, 0, 1]
-        e2z = tris[k, 2, 2] - tris[k, 0, 2]
-        px = direction[1] * e2z - direction[2] * e2y
-        py = direction[2] * e2x - direction[0] * e2z
-        pz = direction[0] * e2y - direction[1] * e2x
-        det = e1x * px + e1y * py + e1z * pz
-        if abs(det) < DET_EPS:
-            continue
-        inv = 1.0 / det
-        tx = origin[0] - tris[k, 0, 0]
-        ty = origin[1] - tris[k, 0, 1]
-        tz = origin[2] - tris[k, 0, 2]
-        u = (tx * px + ty * py + tz * pz) * inv
-        qx = ty * e1z - tz * e1y
-        qy = tz * e1x - tx * e1z
-        qz = tx * e1y - ty * e1x
-        v = (direction[0] * qx + direction[1] * qy + direction[2] * qz) * inv
-        t = (e2x * qx + e2y * qy + e2z * qz) * inv
-        if t <= T_EPS:
-            continue
-        w = 1.0 - u - v
-        if u > BARY_EPS and v > BARY_EPS and w > BARY_EPS:
-            hits += 1
-        elif u > -BARY_EPS and v > -BARY_EPS and w > -BARY_EPS:
-            ok = False
-    return hits, ok
-
-
-_ray_hits_nb = njit(cache=True)(_ray_hits_loop)
-
-
-def _ray_hits_np(origin, direction, tris):
+    origins = np.ascontiguousarray(origins, dtype=np.float64)
+    directions = np.ascontiguousarray(directions, dtype=np.float64)
+    tris = np.ascontiguousarray(tris, dtype=np.float64)
     e1 = tris[:, 1] - tris[:, 0]
     e2 = tris[:, 2] - tris[:, 0]
-    pvec = np.cross(np.broadcast_to(direction, e2.shape), e2)
-    det = np.einsum("kx,kx->k", e1, pvec)
+    pvec = np.cross(directions[:, None, :], e2[None, :, :])
+    det = np.einsum("kx,pkx->pk", e1, pvec)
     alive = np.abs(det) >= DET_EPS
     inv = np.where(alive, 1.0 / np.where(alive, det, 1.0), 0.0)
-    tvec = origin[None, :] - tris[:, 0]
-    u = np.einsum("kx,kx->k", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1)
-    v = np.einsum("x,kx->k", direction, qvec) * inv
-    t = np.einsum("kx,kx->k", e2, qvec) * inv
+    tvec = origins[:, None, :] - tris[None, :, 0]
+    u = np.einsum("pkx,pkx->pk", tvec, pvec) * inv
+    qvec = np.cross(tvec, e1[None, :, :])
+    v = np.einsum("px,pkx->pk", directions, qvec) * inv
+    t = np.einsum("kx,pkx->pk", e2, qvec) * inv
     w = 1.0 - u - v
     forward = alive & (t > T_EPS)
     strict = forward & (u > BARY_EPS) & (v > BARY_EPS) & (w > BARY_EPS)
     grazing = forward & ~strict & (u > -BARY_EPS) & (v > -BARY_EPS) & (w > -BARY_EPS)
-    return int(strict.sum()), not bool(grazing.any())
-
-
-def ray_hits(origin, direction, tris):
-    origin = np.ascontiguousarray(origin, dtype=np.float64)
-    direction = np.ascontiguousarray(direction, dtype=np.float64)
-    tris = np.ascontiguousarray(tris, dtype=np.float64)
-    if BACKEND == "numba":
-        hits, ok = _ray_hits_nb(origin, direction, tris)
-        return int(hits), bool(ok)
-    return _ray_hits_np(origin, direction, tris)
+    return strict.sum(axis=1), ~grazing.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # point-triangle distance
 
 
-def _point_tris_dist_loop(p, tris):
-    """Min distance from point ``p`` to a set of triangles.
+def point_tris_dist(points, tris):
+    """Min distance from each of the (P, 3) points to a (T, 3, 3) triangle
+    set, as a (P,) array.
 
     The closest point is either the projection onto the triangle plane
     (when its barycentric coordinates are nonnegative) or a point on one
     of the edge segments.
     """
-    best = np.inf
-    for k in range(tris.shape[0]):
-        ax, ay, az = tris[k, 0, 0], tris[k, 0, 1], tris[k, 0, 2]
-        v0x, v0y, v0z = tris[k, 1, 0] - ax, tris[k, 1, 1] - ay, tris[k, 1, 2] - az
-        v1x, v1y, v1z = tris[k, 2, 0] - ax, tris[k, 2, 1] - ay, tris[k, 2, 2] - az
-        v2x, v2y, v2z = p[0] - ax, p[1] - ay, p[2] - az
-        d00 = v0x * v0x + v0y * v0y + v0z * v0z
-        d01 = v0x * v1x + v0y * v1y + v0z * v1z
-        d11 = v1x * v1x + v1y * v1y + v1z * v1z
-        d20 = v2x * v0x + v2y * v0y + v2z * v0z
-        d21 = v2x * v1x + v2y * v1y + v2z * v1z
-        denom = d00 * d11 - d01 * d01
-        if denom > 0.0:
-            vb = (d11 * d20 - d01 * d21) / denom
-            wb = (d00 * d21 - d01 * d20) / denom
-            if vb >= 0.0 and wb >= 0.0 and vb + wb <= 1.0:
-                rx = v2x - vb * v0x - wb * v1x
-                ry = v2y - vb * v0y - wb * v1y
-                rz = v2z - vb * v0z - wb * v1z
-                d = (rx * rx + ry * ry + rz * rz) ** 0.5
-                if d < best:
-                    best = d
-                continue
-        for e in range(3):
-            bx, by, bz = tris[k, e, 0], tris[k, e, 1], tris[k, e, 2]
-            f = (e + 1) % 3
-            ex = tris[k, f, 0] - bx
-            ey = tris[k, f, 1] - by
-            ez = tris[k, f, 2] - bz
-            ee = ex * ex + ey * ey + ez * ez
-            if ee == 0.0:
-                t = 0.0
-            else:
-                t = ((p[0] - bx) * ex + (p[1] - by) * ey + (p[2] - bz) * ez) / ee
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-            rx = p[0] - (bx + t * ex)
-            ry = p[1] - (by + t * ey)
-            rz = p[2] - (bz + t * ez)
-            d = (rx * rx + ry * ry + rz * rz) ** 0.5
-            if d < best:
-                best = d
-    return best
-
-
-_point_tris_dist_nb = njit(cache=True)(_point_tris_dist_loop)
-
-
-def _point_tris_dist_np(p, tris):
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    tris = np.ascontiguousarray(tris, dtype=np.float64)
+    if tris.shape[0] == 0:
+        return np.full(len(points), np.inf)
     a = tris[:, 0]
     v0 = tris[:, 1] - a
     v1 = tris[:, 2] - a
-    v2 = p[None, :] - a
+    v2 = points[:, None, :] - a[None, :, :]
     d00 = np.einsum("kx,kx->k", v0, v0)
     d01 = np.einsum("kx,kx->k", v0, v1)
     d11 = np.einsum("kx,kx->k", v1, v1)
-    d20 = np.einsum("kx,kx->k", v2, v0)
-    d21 = np.einsum("kx,kx->k", v2, v1)
+    d20 = np.einsum("pkx,kx->pk", v2, v0)
+    d21 = np.einsum("pkx,kx->pk", v2, v1)
     denom = d00 * d11 - d01 * d01
     safe = np.where(denom > 0.0, denom, 1.0)
     vb = (d11 * d20 - d01 * d21) / safe
     wb = (d00 * d21 - d01 * d20) / safe
     inside = (denom > 0.0) & (vb >= 0.0) & (wb >= 0.0) & (vb + wb <= 1.0)
-    r = v2 - vb[:, None] * v0 - wb[:, None] * v1
-    d_face = np.where(inside, np.linalg.norm(r, axis=1), np.inf)
+    r = v2 - vb[..., None] * v0 - wb[..., None] * v1
+    best = np.where(inside, np.linalg.norm(r, axis=2), np.inf)
 
-    d_edge = np.full(tris.shape[0], np.inf)
     for e in range(3):
         b = tris[:, e]
         edge = tris[:, (e + 1) % 3] - b
         ee = np.einsum("kx,kx->k", edge, edge)
-        t = np.einsum("kx,kx->k", p[None, :] - b, edge) / np.where(ee > 0.0, ee, 1.0)
+        rel = points[:, None, :] - b[None, :, :]
+        t = np.einsum("pkx,kx->pk", rel, edge) / np.where(ee > 0.0, ee, 1.0)
         t = np.clip(np.where(ee > 0.0, t, 0.0), 0.0, 1.0)
-        d = np.linalg.norm(p[None, :] - (b + t[:, None] * edge), axis=1)
-        d_edge = np.minimum(d_edge, d)
-    return float(np.minimum(d_face, d_edge).min())
-
-
-def point_tris_dist(p, tris):
-    """Min distance from a point to a triangle set."""
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    tris = np.ascontiguousarray(tris, dtype=np.float64)
-    if tris.shape[0] == 0:
-        return np.inf
-    if BACKEND == "numba":
-        return float(_point_tris_dist_nb(p, tris))
-    return float(_point_tris_dist_np(p, tris))
-
-
-def warmup():
-    """Trigger JIT compilation of the hot kernels (no-op on numpy)."""
-    tri = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-    tri_cross_any(tri, tri + 0.1, 1e-9)
-    ray_hits(np.array([0.2, 0.2, -1.0]), np.array([0.0, 0.0, 1.0]), tri)
-    point_tris_dist(np.array([0.0, 0.0, 1.0]), tri)
+        d = np.linalg.norm(rel - t[..., None] * edge, axis=2)
+        best = np.minimum(best, d)
+    return best.min(axis=1)

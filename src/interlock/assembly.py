@@ -172,22 +172,34 @@ def _placement(k: int, r: int, c: int, gap: float) -> Isometry3:
     return Isometry3(matrix, np.array([shift[0], shift[1], 0.0]))
 
 
+def check_gap_scale(gap: float, scale) -> None:
+    """Raise ValueError unless the gap is finite and nonnegative and the
+    three scale factors are finite and positive."""
+    if not 0.0 <= gap < np.inf:
+        raise ValueError("gap must be finite and nonnegative")
+    if not all(0.0 < float(s) < np.inf for s in scale):
+        raise ValueError("scale factors must be finite and positive")
+
+
+def place_block(k: int, r: int, c: int, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> TriMesh:
+    """The scaled mesh of an orientation-k block at cell (r, c): the
+    oriented block, moved to the cell, then scaled.  Any integer cell is
+    allowed, so relative poses can be placed off the grid."""
+    tx, ty = cell_translation(r, c, gap)
+    return scale_mesh(translate(oriented_block(k), (tx, ty, 0.0)), *scale)
+
+
 def build_assembly(t: TruchetTiling, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> Assembly:
     """Place one oriented block per cell on the diamond lattice."""
     if not validate_tiling(t):
         raise ValueError("invalid tiling: adjacent colors clash")
-    if not 0.0 <= gap < np.inf:
-        raise ValueError("gap must be finite and nonnegative")
+    check_gap_scale(gap, scale)
     a, b, c = (float(s) for s in scale)
-    if not all(0.0 < s < np.inf for s in (a, b, c)):
-        raise ValueError("scale factors must be finite and positive")
     blocks = []
     for r in range(1, t.rows + 1):
         for col in range(1, t.cols + 1):
             k = int(t.orientation[r - 1, col - 1])
-            tx, ty = cell_translation(r, col, gap)
-            mesh = translate(oriented_block(k), (tx, ty, 0.0))
-            mesh = scale_mesh(mesh, a, b, c)
+            mesh = place_block(k, r, col, gap, (a, b, c))
             blocks.append((t.linear_index(r, col), _placement(k, r, col, gap), mesh))
     return Assembly(
         tiling=t,

@@ -128,6 +128,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         return EXIT_INVALID
     if cfg.top_k < 0:
         raise ValueError("--top-k must be nonnegative")
+    assembly.check_gap_scale(cfg.gap, cfg.scale)
     t0 = time.perf_counter()
     cands = enumeration.enumerate_tilings(cfg.rows, cfg.cols)
     ranked = enumeration.screen(cands, cfg.metric)

@@ -174,32 +174,40 @@ def aabb(m: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return m.vertices.min(axis=0), m.vertices.max(axis=0)
 
 
-def point_in_mesh(p, m: TriMesh, tol: float = DEFAULT_TOL, rng=None) -> bool:
-    """Strict interior test: parity ray casting, with points within ``tol``
-    of the surface classified as outside.  Grazing rays are retried in a
-    fresh random direction (seeded, so the call is deterministic)."""
-    p = np.asarray(p, dtype=np.float64)
+def _points_in_mesh(points, m: TriMesh, tol: float = DEFAULT_TOL, rng=None) -> np.ndarray:
+    """Strict interior test for a (P, 3) point set, as a (P,) bool array.
+
+    Points within ``tol`` of the surface are outside.  Every other point
+    casts one random ray and takes the parity of its crossings; points
+    whose ray grazes a triangle boundary are retried in a fresh direction
+    (seeded, so the call is deterministic), up to 64 rounds.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     soup = m.corners()
-    if _kernels.point_tris_dist(p, soup) <= tol:
-        return False
+    inside = np.zeros(len(points), dtype=bool)
+    todo = np.flatnonzero(_kernels.point_tris_dist(points, soup) > tol)
     if rng is None:
         rng = np.random.default_rng(0x51CE)
     for _ in range(64):
-        d = rng.standard_normal(3)
-        n = np.linalg.norm(d)
-        if n < 1e-12:
-            continue
-        hits, ok = _kernels.ray_hits(p, d / n, soup)
-        if ok:
-            return hits % 2 == 1
-    raise RuntimeError("parity ray casting kept grazing after 64 retries")
+        if todo.size == 0:
+            break
+        d = rng.standard_normal((todo.size, 3))
+        n = np.linalg.norm(d, axis=1)
+        usable = n >= 1e-12
+        hits, ok = _kernels.ray_hits(
+            points[todo], d / np.where(usable, n, 1.0)[:, None], soup
+        )
+        ok &= usable
+        inside[todo[ok]] = hits[ok] % 2 == 1
+        todo = todo[~ok]
+    if todo.size:
+        raise RuntimeError("parity ray casting kept grazing after 64 retries")
+    return inside
 
 
-def _any_strictly_inside(points, target: TriMesh, tol: float, rng) -> bool:
-    for p in points:
-        if point_in_mesh(p, target, tol, rng=rng):
-            return True
-    return False
+def point_in_mesh(p, m: TriMesh, tol: float = DEFAULT_TOL, rng=None) -> bool:
+    """Strict interior test of one point; see ``_points_in_mesh``."""
+    return bool(_points_in_mesh(p, m, tol, rng)[0])
 
 
 def _interior_samples(m: TriMesh, tol: float, rng) -> np.ndarray:
@@ -217,8 +225,7 @@ def _interior_samples(m: TriMesh, tol: float, rng) -> np.ndarray:
     lo, hi = aabb(m)
     delta = max(1e3 * tol, 1e-6 * float(np.linalg.norm(hi - lo)))
     pts = c[keep].mean(axis=1) - n[keep] / ln[keep, None] * delta
-    ok = [point_in_mesh(p, m, tol, rng=rng) for p in pts]
-    return pts[np.array(ok, dtype=bool)]
+    return pts[_points_in_mesh(pts, m, tol, rng)]
 
 
 def overlap(a: TriMesh, b: TriMesh, tol: float = DEFAULT_TOL) -> bool:
@@ -243,14 +250,14 @@ def overlap(a: TriMesh, b: TriMesh, tol: float = DEFAULT_TOL) -> bool:
         return True
     rng = np.random.default_rng(0x0EC4)
     pts_a = np.vstack([a.vertices, a.vertices.mean(axis=0)])
-    if _any_strictly_inside(pts_a, b, tol, rng):
+    if _points_in_mesh(pts_a, b, tol, rng).any():
         return True
     pts_b = np.vstack([b.vertices, b.vertices.mean(axis=0)])
-    if _any_strictly_inside(pts_b, a, tol, rng):
+    if _points_in_mesh(pts_b, a, tol, rng).any():
         return True
-    if _any_strictly_inside(_interior_samples(a, tol, rng), b, tol, rng):
+    if _points_in_mesh(_interior_samples(a, tol, rng), b, tol, rng).any():
         return True
-    return _any_strictly_inside(_interior_samples(b, tol, rng), a, tol, rng)
+    return bool(_points_in_mesh(_interior_samples(b, tol, rng), a, tol, rng).any())
 
 
 def mesh_distance(a: TriMesh, b: TriMesh) -> float:
@@ -259,14 +266,12 @@ def mesh_distance(a: TriMesh, b: TriMesh) -> float:
     Exact for contacts across flat faces, which is how assembled blocks
     meet; zero means touching.
     """
-    ta = a.corners()
-    tb = b.corners()
-    best = np.inf
-    for p in a.vertices:
-        best = min(best, _kernels.point_tris_dist(p, tb))
-    for p in b.vertices:
-        best = min(best, _kernels.point_tris_dist(p, ta))
-    return float(best)
+    return float(
+        min(
+            _kernels.point_tris_dist(a.vertices, b.corners()).min(),
+            _kernels.point_tris_dist(b.vertices, a.corners()).min(),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

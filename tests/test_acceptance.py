@@ -5,17 +5,11 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
-from interlock import _kernels, assembly, blocking, enumeration, flows, mesh
+from interlock import assembly, blocking, enumeration, flows, mesh
 from interlock.block import versatile_block
 
 TOL_GRID = 0.005  # published grids are 2-digit rounded
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 def _check(num, desc, fn):

@@ -1,23 +1,33 @@
 """Unit tests for directional blocking graphs."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from interlock import blocking
 from interlock.assembly import (
+    SIDE_STEPS,
+    TruchetTiling,
     build_assembly,
     core_indices,
     frame_indices,
     rotate_tiling,
     tiling_from_group,
+    validate_tiling,
 )
+from interlock.block import WHITE_SIDES
 from interlock.blocking import (
+    PoseTable,
     dbg_combinatorial,
     dbg_geometric,
     write_edge_list,
     write_graph_json,
 )
+from interlock.enumeration import grid_from_letters
+
+DOWN = (0.0, 0.0, -1.0)
 
 
 def test_p1_graph_shape():
@@ -65,6 +75,60 @@ def test_geometric_matches_combinatorial_small():
     a = build_assembly(t)
     geo = dbg_geometric(a, (0.0, 0.0, -1.0))
     assert geo.arcs == dbg_combinatorial(t).arcs
+
+
+def _realised_pairs() -> dict:
+    """(dr, dc) -> the (k_i, k_j) orientation pairs that cells (r, c) and
+    (r + dr, c + dc) take in some valid tiling.  Every valid tiling is a
+    choice of one letter per row and per column, so the 1,024 grids of
+    5x5 letters hold every pair at every offset of up to two steps."""
+    letters = np.array(list(itertools.product((0, 1), repeat=10)))
+    grids = grid_from_letters(letters[:, :5], letters[:, 5:])
+    assert all(validate_tiling(TruchetTiling(5, 5, g)) for g in grids)
+    pairs = {}
+    for dr, dc in itertools.product(range(-2, 3), repeat=2):
+        a = grids[:, max(0, -dr): 5 - max(0, dr), max(0, -dc): 5 - max(0, dc)]
+        b = grids[:, max(0, dr): 5 + min(0, dr), max(0, dc): 5 + min(0, dc)]
+        codes = np.unique(4 * a + b)
+        pairs[(dr, dc)] = {(int(x) // 4, int(x) % 4) for x in codes}
+    return pairs
+
+
+@pytest.mark.parametrize("scale", [(1.0, 1.0, 1.0), (0.2, 0.3, 0.5)], ids=["unit", "scaled"])
+@pytest.mark.parametrize("eps", [0.005, 0.01, 0.05])
+def test_pose_table_follows_the_white_side_rule(eps, scale):
+    """Arc iff (dr, dc) steps across a white side of k_i, for every pose a
+    valid tiling realises: geometric = combinatorial on every gapless
+    tiling of any size at this eps and scale."""
+    table = PoseTable(DOWN, eps, scale)
+    assert set(SIDE_STEPS.values()) <= set(table.window)
+    realised = _realised_pairs()
+    checked = 0
+    for dr, dc in table.window:
+        for k_i, k_j in sorted(realised[(dr, dc)]):
+            white = {SIDE_STEPS[side] for side in WHITE_SIDES[k_i]}
+            assert table.blocks(k_i, k_j, dr, dc) == ((dr, dc) in white), (k_i, k_j, dr, dc)
+            checked += 1
+    assert checked > 4 * len(table.window)
+
+
+def test_geometric_table_cost_does_not_grow_with_the_grid(monkeypatch):
+    calls = []
+    real = blocking.overlap
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(blocking, "overlap", counting)
+    counts = []
+    for n in (10, 20):
+        calls.clear()
+        t = tiling_from_group("p4", n, n)
+        assert dbg_geometric(build_assembly(t), DOWN).arcs == dbg_combinatorial(t).arcs
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] <= 16 * len(PoseTable(DOWN, 0.01, (1.0, 1.0, 1.0)).window)
 
 
 def test_upward_direction_reverses_core_arcs():

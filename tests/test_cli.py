@@ -194,6 +194,19 @@ def test_out_of_range_numbers_are_invalid(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "flag", [["--gap", "nan"], ["--scale", "inf"]], ids=["gap-nan", "scale-inf"]
+)
+def test_enumerate_checks_gap_and_scale_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "x"
+    code, _, stderr = run(
+        capsys, "enumerate", "--rows", "3", "--cols", "3", "--top-k", "1", *flag, "--out", str(out)
+    )
+    assert code == 2
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert not list(out.glob("ranking.*"))
+
+
 def test_clashing_tiling_is_invalid(tmp_path, capsys):
     clash = tmp_path / "clash.json"
     clash.write_text(json.dumps({"rows": 1, "cols": 2, "orientations": [0, 1]}))

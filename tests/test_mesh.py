@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlock.assembly import place_block
 from interlock.isometry import Isometry2, extend3
 from interlock.mesh import (
     TriMesh,
+    _points_in_mesh,
     aabb,
     apply_isometry,
     cross_section_area,
@@ -138,6 +140,91 @@ def test_point_in_mesh_classification():
     # points on the surface count as outside
     assert not point_in_mesh((1.0, 0.5, 0.5), m)
     assert not point_in_mesh((0.0, 0.0, 0.0), m)
+
+
+def golden_cloud(m: TriMesh) -> np.ndarray:
+    """2,006 seeded query points around ``m``: every vertex, points on
+    every edge and face, face points nudged across the surface by 0.5 and
+    2 tol and by 1e-3, and uniform points in the bounding box grown by a
+    fifth on each side."""
+    rng = np.random.default_rng(20231)
+    v, c = m.vertices, m.corners()
+    edges = sorted(
+        {(min(a, b), max(a, b)) for t in m.triangles.tolist() for a, b in zip(t, t[1:] + t[:1])}
+    )
+    on_edges = [v[a] + f * (v[b] - v[a]) for a, b in edges for f in (0.1, 0.25, 0.5, 0.75, 0.9)]
+    bary = rng.dirichlet((1.0, 1.0, 1.0), size=(len(c), 10))
+    on_faces = np.einsum("tsk,tkx->tsx", bary, c).reshape(-1, 3)
+    n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    base = np.einsum("tsk,tkx->tsx", bary[:, :3], c)
+    offsets = np.array([-1e-3, -2e-9, -0.5e-9, 0.5e-9, 2e-9, 1e-3])
+    nudged = base[:, :, None, :] + offsets[None, None, :, None] * n[:, None, None, :]
+    lo, hi = aabb(m)
+    pad = 0.2 * (hi - lo)
+    uniform = rng.uniform(lo - pad, hi + pad, size=(1500, 3))
+    return np.vstack([v, on_edges, on_faces, nudged.reshape(-1, 3), uniform])
+
+
+# np.packbits of the per-point point_in_mesh answers (tol 1e-9) for
+# golden_cloud(place_block(1, 2, 3, scale=(0.2, 0.3, 0.5))), recorded with
+# the one-point-at-a-time classifier before it was batched
+GOLDEN_INSIDE_HEX = (
+    "00000000000000000000000000000000000000000000000000000000000000030c30c30c"
+    "30c30c30c30c30c30c30c30c30c30c30c30c30c30c30c30c30c30c108a00608100240100"
+    "0408004041080100801107440124108880009040720000060002404080c0a04100180802"
+    "40200f8c40021020012000001d49550010200d04899390020800400200404084120e0a10"
+    "0441041001004080021100500000060088c08004942c0800204001203801010810888010"
+    "0404084022200e04004006c800150cac004144603110c00081000a410610189201000524"
+    "1180400021a00158002022c220104400000060d0086804202385080070514810000500"
+)
+
+
+def test_batched_classifier_reproduces_golden_answers():
+    m = place_block(1, 2, 3, scale=(0.2, 0.3, 0.5))
+    points = golden_cloud(m)
+    assert len(points) == 2006
+    golden = np.unpackbits(np.frombuffer(bytes.fromhex(GOLDEN_INSIDE_HEX), dtype=np.uint8))
+    golden = golden[: len(points)].astype(bool)
+    assert golden.sum() == 348
+    assert np.array_equal(_points_in_mesh(points, m, 1e-9), golden)
+    # the answers do not depend on the ray directions drawn
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(_points_in_mesh(points, m, 1e-9, rng), golden)
+    for i in range(0, len(points), 97):
+        assert point_in_mesh(points[i], m, 1e-9) == golden[i]
+
+
+def test_batched_classifier_handles_empty_sets():
+    assert _points_in_mesh(np.empty((0, 3)), unit_cube()).shape == (0,)
+
+
+class ScriptedRng:
+    """Hands out the scripted ray directions, one row per point, and
+    records how many points each round asked for."""
+
+    def __init__(self, *directions):
+        self.directions = list(directions)
+        self.asked = []
+
+    def standard_normal(self, shape):
+        self.asked.append(shape[0])
+        d = self.directions.pop(0) if len(self.directions) > 1 else self.directions[0]
+        return np.tile(d, (shape[0], 1))
+
+
+def test_batched_classifier_retries_only_grazing_points():
+    cube = unit_cube()
+    # the first diagonal rays from the centre and from (-1, -1, -1) pass
+    # through cube corners and graze; the other two rays do not
+    rng = ScriptedRng((1.0, 1.0, 1.0), (0.3, 0.2, 0.9))
+    points = [(0.5, 0.5, 0.5), (0.25, 0.5, 0.4), (2.0, 0.5, 0.5), (-1.0, -1.0, -1.0)]
+    inside = _points_in_mesh(points, cube, rng=rng)
+    assert inside.tolist() == [True, True, False, False]
+    assert rng.asked == [4, 2]
+    with pytest.raises(RuntimeError):
+        _points_in_mesh([(0.5, 0.5, 0.5)], cube, rng=ScriptedRng((1.0, 1.0, 1.0)))
 
 
 def test_overlap_cases():
