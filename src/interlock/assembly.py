@@ -26,6 +26,18 @@ COL_STEP = np.array([1.0, 1.0])
 SIDE_STEPS = {"N": (-1, 0), "S": (1, 0), "W": (0, -1), "E": (0, 1)}
 _OPPOSITE = {"N": "S", "S": "N", "W": "E", "E": "W"}
 
+# EDGE_OK[axis, a, b]: across the side shared by orientation a and its east
+# (axis 0) or south (axis 1) neighbour b, exactly one facing side is white.
+EDGE_OK = np.array(
+    [
+        [
+            [(side in WHITE_SIDES[a]) != (_OPPOSITE[side] in WHITE_SIDES[b]) for b in range(4)]
+            for a in range(4)
+        ]
+        for side in ("E", "S")
+    ]
+)
+
 
 @dataclass(frozen=True)
 class TruchetTiling:
@@ -62,18 +74,20 @@ class TruchetTiling:
         return (index - 1) // self.cols + 1, (index - 1) % self.cols + 1
 
 
+def frame_mask(rows: int, cols: int) -> np.ndarray:
+    """Boolean rows x cols grid, True on the perimeter cells."""
+    mask = np.ones((rows, cols), dtype=bool)
+    mask[1:-1, 1:-1] = False
+    return mask
+
+
 def frame_indices(rows: int, cols: int) -> frozenset[int]:
     """Linear indices (1-based) of the perimeter cells."""
-    out = set()
-    for r in range(1, rows + 1):
-        for c in range(1, cols + 1):
-            if r in (1, rows) or c in (1, cols):
-                out.add((r - 1) * cols + c)
-    return frozenset(out)
+    return frozenset((np.flatnonzero(frame_mask(rows, cols)) + 1).tolist())
 
 
 def core_indices(rows: int, cols: int) -> frozenset[int]:
-    return frozenset(range(1, rows * cols + 1)) - frame_indices(rows, cols)
+    return frozenset((np.flatnonzero(~frame_mask(rows, cols)) + 1).tolist())
 
 
 def _group_name(g) -> str:
@@ -111,19 +125,7 @@ def validate_tiling(t: TruchetTiling) -> bool:
     """True iff every interior edge alternates colors: across each shared
     side, exactly one of the two facing sides is white."""
     o = t.orientation
-    for r in range(t.rows):
-        for c in range(t.cols):
-            if c + 1 < t.cols:
-                left = "E" in WHITE_SIDES[int(o[r, c])]
-                right = "W" in WHITE_SIDES[int(o[r, c + 1])]
-                if left == right:
-                    return False
-            if r + 1 < t.rows:
-                upper = "S" in WHITE_SIDES[int(o[r, c])]
-                lower = "N" in WHITE_SIDES[int(o[r + 1, c])]
-                if upper == lower:
-                    return False
-    return True
+    return bool(EDGE_OK[0, o[:, :-1], o[:, 1:]].all() and EDGE_OK[1, o[:-1], o[1:]].all())
 
 
 def count_assemblies(m: int, n: int) -> int:

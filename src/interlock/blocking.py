@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SIDE_STEPS, Assembly, TruchetTiling, place_block, validate_tiling
+from .assembly import SIDE_STEPS, Assembly, TruchetTiling, frame_mask, place_block, validate_tiling
 from .block import WHITE_SIDES
 from .mesh import DEFAULT_TOL, aabb, overlap, translate
 
@@ -43,19 +43,20 @@ def dbg_combinatorial(t: TruchetTiling) -> BlockingGraph:
     if not validate_tiling(t):
         raise ValueError("invalid tiling: adjacent colors clash")
     m, n = t.rows, t.cols
-    arcs = set()
-    frame = set()
-    for r in range(1, m + 1):
-        for c in range(1, n + 1):
-            i = t.linear_index(r, c)
-            if r in (1, m) or c in (1, n):
-                frame.add(i)
-                arcs.add((i, i))
-                continue
-            for side in sorted(WHITE_SIDES[int(t.orientation[r - 1, c - 1])]):
-                dr, dc = SIDE_STEPS[side]
-                arcs.add((i, t.linear_index(r + dr, c + dc)))
-    return BlockingGraph(m * n, frozenset(arcs), DOWN, frozenset(frame))
+    # the linear steps to the two white-side neighbours, per orientation
+    steps = np.array(
+        [
+            [SIDE_STEPS[s][0] * n + SIDE_STEPS[s][1] for s in sorted(WHITE_SIDES[k])]
+            for k in range(4)
+        ]
+    )
+    is_frame = frame_mask(m, n)
+    frame = np.flatnonzero(is_frame) + 1
+    core = np.flatnonzero(~is_frame) + 1
+    targets = core[:, None] + steps[t.orientation[~is_frame]]
+    tails = np.concatenate([np.repeat(core, 2), frame]).tolist()
+    heads = np.concatenate([targets.ravel(), frame]).tolist()
+    return BlockingGraph(m * n, frozenset(zip(tails, heads)), DOWN, frozenset(frame.tolist()))
 
 
 class PoseTable:

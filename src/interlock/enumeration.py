@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import flows
-from .assembly import TruchetTiling, build_assembly, export_assembly, validate_tiling
-from .block import WHITE_SIDES
+from .assembly import EDGE_OK, TruchetTiling, build_assembly, export_assembly, validate_tiling
 
 DEDUP_GROUP = "letter-complement group of order 8 (free action), not dihedral"
 
@@ -154,25 +153,13 @@ def enumerate_tilings(m: int, n: int) -> CandidateSet:
     return CandidateSet(m, n, h, v)
 
 
-def _edge_luts() -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise validity tables derived from the white-side sets: exactly
-    one of the two facing sides is white."""
-    h_ok = np.zeros((4, 4), dtype=bool)
-    v_ok = np.zeros((4, 4), dtype=bool)
-    for a in range(4):
-        for b in range(4):
-            h_ok[a, b] = ("E" in WHITE_SIDES[a]) != ("W" in WHITE_SIDES[b])
-            v_ok[a, b] = ("S" in WHITE_SIDES[a]) != ("N" in WHITE_SIDES[b])
-    return h_ok, v_ok
-
-
 def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
     """Scan all 4^(m*n) orientation grids with the per-edge rule, then
     canonicalize and dedup.  Oracle for enumerate_tilings; m*n <= 12."""
     cells = m * n
     if cells > 12:
         raise ValueError("brute force limited to m*n <= 12")
-    h_ok, v_ok = _edge_luts()
+    h_ok, v_ok = EDGE_OK
     total = 4**cells
     chunk = 1 << 20
     seen = {}
@@ -271,31 +258,43 @@ def write_ranking_csv(ranked: Ranking, path) -> None:
             fh.write(f"{rank},{s},true,{max_load:.6f},{cv:.6f},{loaded}\n")
 
 
+# One ranking.json candidate as json.dump(indent=2, sort_keys=True) lays
+# it out; the metrics are finite, so repr writes each float as json does.
+_CANDIDATE_JSON = """\
+    {{
+      "converged": true,
+      "metrics": {{
+        "cv": {cv!r},
+        "iterations": 0,
+        "loaded_cells": {loaded},
+        "max_load": {max_load!r}
+      }},
+      "orientations": "{orientations}",
+      "rank": {rank}
+    }}"""
+
+
 def write_ranking_json(ranked: Ranking, rows, cols, metric, path) -> None:
-    payload = {
+    """The ranking as JSON, byte for byte what json.dump(payload, indent=2,
+    sort_keys=True) writes, with the candidate records formatted from one
+    template.  "iterations" is 0 because the closed form takes no steps."""
+    header = {
         "rows": rows,
         "cols": cols,
         "metric": metric,
         "count": len(ranked),
         "dedup_group": DEDUP_GROUP,
-        "candidates": [
-            {
-                "rank": rank,
-                "orientations": s,
-                "converged": True,
-                "metrics": {
-                    "cv": round(cv, 6),
-                    "iterations": 0,  # the closed form takes no steps
-                    "loaded_cells": loaded,
-                    "max_load": round(max_load, 6),
-                },
-            }
-            for rank, s, max_load, cv, loaded in _ranked_rows(ranked)
-        ],
     }
+    candidates = ",\n".join(
+        _CANDIDATE_JSON.format(
+            rank=rank, orientations=s, cv=round(cv, 6), loaded=loaded, max_load=round(max_load, 6)
+        )
+        for rank, s, max_load, cv, loaded in _ranked_rows(ranked)
+    )
+    # "candidates" sorts before every header key
+    rest = json.dumps(header, indent=2, sort_keys=True)[len("{\n"):]
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{\n  "candidates": [\n{candidates}\n  ],\n{rest}\n')
 
 
 def export_top_k(ranked, k: int, outdir, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> None:

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from .assembly import TruchetTiling, core_indices
+from .assembly import TruchetTiling
 from .blocking import BlockingGraph
 
 LOADED_EPS = 1e-9
@@ -64,44 +64,40 @@ class FlowResult:
 
 def transfer_matrix(g: BlockingGraph) -> TransferMatrix:
     """Build A from a blocking graph: 1/2 per core arc, 1 on frame
-    diagonals.  Core nodes must have exactly two outgoing arcs."""
+    diagonals.  Core nodes must have exactly two outgoing arcs.  The
+    lowest-numbered node that breaks a rule is the one reported."""
     n = g.n_nodes
-    frame = sorted(g.frame)
-    out = {i: [] for i in range(1, n + 1)}
-    for i, j in g.arcs:
-        out[i].append(j)
-    rows, cols, data = [], [], []
-    for i in range(1, n + 1):
-        targets = sorted(out[i])
-        if i in g.frame:
-            if targets != [i]:
-                raise ValueError(f"frame node {i} must carry only its self-loop")
-            rows.append(i - 1)
-            cols.append(i - 1)
-            data.append(1.0)
-        else:
-            if len(targets) != 2 or i in targets:
-                raise ValueError(
-                    f"unsupported block: core node {i} has out-arcs {targets}"
-                )
-            for j in targets:
-                rows.append(i - 1)
-                cols.append(j - 1)
-                data.append(0.5)
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    frame_idx = np.array([j - 1 for j in frame], dtype=np.int64)
-    core_idx = np.setdiff1d(np.arange(n), frame_idx)
-    return TransferMatrix(matrix, frame_idx, core_idx)
+    arcs = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2) - 1
+    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    tails, heads = arcs[:, 0], arcs[:, 1]
+    frame = np.array(list(g.frame), dtype=np.int64) - 1
+    nodes = np.concatenate([arcs.ravel(), frame])
+    if nodes.size and not (0 <= nodes.min() and nodes.max() < n):
+        raise ValueError(f"graph nodes must be numbered 1..{n}")
+    is_frame = np.zeros(n, dtype=bool)
+    is_frame[frame] = True
+    degree = np.bincount(tails, minlength=n)
+    loops = np.bincount(tails[tails == heads], minlength=n)
+    bad = np.where(is_frame, (degree != 1) | (loops != 1), (degree != 2) | (loops != 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if is_frame[i]:
+            raise ValueError(f"frame node {i + 1} must carry only its self-loop")
+        targets = (heads[tails == i] + 1).tolist()
+        raise ValueError(f"unsupported block: core node {i + 1} has out-arcs {targets}")
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    data = np.where(is_frame[tails], 1.0, 0.5)
+    matrix = sp.csr_matrix((data, heads, indptr), shape=(n, n))
+    return TransferMatrix(matrix, np.flatnonzero(is_frame), np.flatnonzero(~is_frame))
 
 
 def initial_load(t: TruchetTiling, core_value: float = 1.0) -> np.ndarray:
     """Load vector: core_value on core cells, 0 on the frame."""
     if core_value < 0.0:
         raise ValueError("core_value must be nonnegative")
-    x = np.zeros(t.rows * t.cols)
-    for i in core_indices(t.rows, t.cols):
-        x[i - 1] = core_value
-    return x
+    x = np.zeros((t.rows, t.cols))
+    x[1:-1, 1:-1] = core_value
+    return x.ravel()
 
 
 def step(A: TransferMatrix, x: np.ndarray) -> np.ndarray:
@@ -113,31 +109,43 @@ def step(A: TransferMatrix, x: np.ndarray) -> np.ndarray:
     return A.matrix.T @ x
 
 
-def _result(A: TransferMatrix, x: np.ndarray, iterations: int, converged: bool) -> FlowResult:
-    frame_load = {int(j) + 1: float(x[j]) for j in A.frame}
-    residual = float(x[A.core].sum()) if len(A.core) else 0.0
-    return FlowResult(frame_load, residual, iterations, converged)
+def _core_first(A: TransferMatrix) -> sp.csr_matrix:
+    """A^T with the nodes relabelled core first, then frame, each in index
+    order.  Each row keeps its entries in the order A^T stores them, so a
+    matvec makes the same floating-point additions in the same order;
+    sorting them by the new labels would move a frame node's self term
+    past the core nodes that feed it from above its index."""
+    AT = A.matrix.T.tocsr()
+    order = np.concatenate([A.core, A.frame])
+    label = np.empty(A.n, dtype=np.int64)
+    label[order] = np.arange(A.n)
+    rows = AT[order]
+    return sp.csr_matrix((rows.data, label[rows.indices], rows.indptr), shape=AT.shape)
 
 
 def iterate(A: TransferMatrix, x: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> FlowResult:
-    """Propagate until the residual core mass drops below tol."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    """Propagate until the residual core mass drops below tol.  A NaN
+    residual ends the propagation at once, unconverged."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    x = np.asarray(x, dtype=np.float64).copy()
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n,):
         raise ValueError("load vector length mismatch")
-    residual = float(x[A.core].sum()) if len(A.core) else 0.0
-    if residual < tol:
-        return _result(A, x, 0, True)
-    AT = A.matrix.T.tocsr()
-    for it in range(1, max_iter + 1):
-        x = AT @ x
-        residual = float(x[A.core].sum())
-        if residual < tol:
-            return _result(A, x, it, True)
-    return _result(A, x, max_iter, False)
+    # y holds the core loads in y[:k], then the frame loads
+    k = len(A.core)
+    y = x[np.concatenate([A.core, A.frame])]
+    it, residual = 0, float(y[:k].sum())
+    if residual >= tol:
+        P = _core_first(A)
+        for it in range(1, max_iter + 1):
+            y = P @ y
+            residual = float(y[:k].sum())
+            if not residual >= tol:
+                break
+    frame_load = dict(zip((A.frame + 1).tolist(), y[k:].tolist()))
+    return FlowResult(frame_load, residual, it, residual < tol)
 
 
 def _drain_check(Q: sp.csr_matrix, R: sp.csr_matrix):

@@ -20,7 +20,7 @@ from interlock.assembly import (
     tiling_from_group,
     validate_tiling,
 )
-from interlock.block import versatile_block
+from interlock.block import WHITE_SIDES, versatile_block
 from interlock.mesh import mesh_distance, read_stl, signed_volume
 
 
@@ -76,6 +76,50 @@ def test_vertical_pair_compatibility_table():
         if validate_tiling(t):
             valid.add((kt, kb))
     assert valid == {(a, b) for a, b in itertools.product(range(4), repeat=2) if v_letter[a] == v_letter[b]}
+
+
+def _per_edge_rule(t):
+    """The per-edge loop validate_tiling replaced."""
+    o = t.orientation
+    for r in range(t.rows):
+        for c in range(t.cols):
+            if c + 1 < t.cols:
+                if ("E" in WHITE_SIDES[int(o[r, c])]) == ("W" in WHITE_SIDES[int(o[r, c + 1])]):
+                    return False
+            if r + 1 < t.rows:
+                if ("S" in WHITE_SIDES[int(o[r, c])]) == ("N" in WHITE_SIDES[int(o[r + 1, c])]):
+                    return False
+    return True
+
+
+@st.composite
+def orientation_grids(draw):
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=6))
+    cells = draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n))
+    return TruchetTiling(m, n, np.array(cells).reshape(m, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(orientation_grids())
+def test_validate_tiling_follows_the_per_edge_rule(t):
+    assert validate_tiling(t) is _per_edge_rule(t)
+    perimeter = {
+        (r - 1) * t.cols + c
+        for r in range(1, t.rows + 1)
+        for c in range(1, t.cols + 1)
+        if r in (1, t.rows) or c in (1, t.cols)
+    }
+    assert frame_indices(t.rows, t.cols) == perimeter
+    assert core_indices(t.rows, t.cols) == set(range(1, t.rows * t.cols + 1)) - perimeter
+
+
+def test_validate_tiling_on_single_rows_and_columns():
+    for o in ([[0, 3, 0, 0]], [[0, 1]], [[0], [3], [0]], [[0], [1]], [[2]]):
+        t = TruchetTiling(len(o), len(o[0]), np.array(o))
+        assert validate_tiling(t) is _per_edge_rule(t)
+    assert validate_tiling(TruchetTiling(1, 4, np.array([[0, 3, 0, 0]])))
+    assert not validate_tiling(TruchetTiling(3, 1, np.array([[0], [3], [0]])))
 
 
 def test_count_assemblies():

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlock import blocking
 from interlock.assembly import (
@@ -68,6 +70,39 @@ def test_graph_rotates_with_the_tiling():
 
     assert gr.arcs == {(relabel(i), relabel(j)) for i, j in g.arcs}
     assert gr.frame == {relabel(i) for i in g.frame}
+
+
+def _per_cell_arcs(t):
+    """The per-cell loop dbg_combinatorial replaced."""
+    arcs = set()
+    for r in range(1, t.rows + 1):
+        for c in range(1, t.cols + 1):
+            i = t.linear_index(r, c)
+            if r in (1, t.rows) or c in (1, t.cols):
+                arcs.add((i, i))
+                continue
+            for side in sorted(WHITE_SIDES[int(t.orientation[r - 1, c - 1])]):
+                dr, dc = SIDE_STEPS[side]
+                arcs.add((i, t.linear_index(r + dr, c + dc)))
+    return arcs
+
+
+@st.composite
+def letter_tilings(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=8))
+    h = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    v = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return TruchetTiling(m, n, grid_from_letters(h, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_tilings())
+def test_combinatorial_arcs_match_a_per_cell_reference(t):
+    g = dbg_combinatorial(t)
+    assert g.arcs == _per_cell_arcs(t)
+    assert g.frame == frame_indices(t.rows, t.cols)
+    assert g.n_nodes == t.rows * t.cols
 
 
 def test_geometric_matches_combinatorial_small():

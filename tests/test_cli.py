@@ -181,11 +181,12 @@ def test_malformed_tiling_json_is_invalid(tmp_path, capsys, text):
     "argv",
     [
         ["flow", "--group", "p4", "--rows", "4", "--cols", "4", "--tol", "nan"],
+        ["flow", "--group", "p4", "--rows", "5", "--cols", "5", "--tol", "inf"],
         ["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--gap", "nan"],
         ["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--scale", "inf"],
         ["enumerate", "--rows", "3", "--cols", "3", "--top-k", "-5"],
     ],
-    ids=["tol-nan", "gap-nan", "scale-inf", "top-k-negative"],
+    ids=["tol-nan", "tol-inf", "gap-nan", "scale-inf", "top-k-negative"],
 )
 def test_out_of_range_numbers_are_invalid(tmp_path, capsys, argv):
     code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "x"))

@@ -14,6 +14,7 @@ from interlock.enumeration import (
     DEDUP_GROUP,
     METRICS,
     CandidateSet,
+    Ranking,
     brute_force_tilings,
     canonicalize,
     enumerate_tilings,
@@ -195,6 +196,37 @@ def test_ranking_json(tmp_path):
     assert payload["dedup_group"] == DEDUP_GROUP
     assert len(payload["candidates"]) == 8
     assert payload["candidates"][0]["rank"] == 1
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("size", [(4, 5), (6, 6)])
+def test_ranking_json_matches_the_json_module(tmp_path, size, metric):
+    ranked = screen(enumerate_tilings(*size), metric)
+    for r in (ranked, Ranking(ranked.candidates, ranked.order[:1])):
+        payload = {
+            "rows": size[0],
+            "cols": size[1],
+            "metric": metric,
+            "count": len(r),
+            "dedup_group": DEDUP_GROUP,
+            "candidates": [
+                {
+                    "rank": rc.rank,
+                    "orientations": orientation_string(rc.tiling),
+                    "converged": True,
+                    "metrics": {
+                        "cv": round(rc.metrics["cv"], 6),
+                        "iterations": 0,
+                        "loaded_cells": rc.metrics["loaded_cells"],
+                        "max_load": round(rc.metrics["max_load"], 6),
+                    },
+                }
+                for rc in r
+            ],
+        }
+        path = tmp_path / "ranking.json"
+        write_ranking_json(r, size[0], size[1], metric, path)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_export_top_k(tmp_path):

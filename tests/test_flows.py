@@ -60,23 +60,41 @@ def test_transfer_matrix_rows_are_stochastic():
 def test_transfer_matrix_rejects_broken_frames():
     # frame node with an outgoing arc to a neighbor
     g = _graph(2, {(1, 1), (1, 2), (2, 2)}, {1, 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^frame node 1 "):
         transfer_matrix(g)
     # frame node with no self-loop
     g = _graph(2, {(2, 2)}, {1, 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^frame node 1 "):
+        transfer_matrix(g)
+    # the lowest-numbered offender is reported: core node 1 before frame
+    # node 2, then frame node 2 once node 1 is whole
+    g = _graph(4, {(1, 2), (2, 2), (2, 3), (3, 3), (4, 4)}, {2, 3, 4})
+    with pytest.raises(ValueError, match="core node 1 has out-arcs \\[2\\]"):
+        transfer_matrix(g)
+    g = _graph(4, {(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (4, 4)}, {2, 3, 4})
+    with pytest.raises(ValueError, match="^frame node 2 "):
         transfer_matrix(g)
 
 
 def test_transfer_matrix_rejects_bad_core_degree():
     # core node 1 leaning on a single support
     g = _graph(3, {(1, 2), (2, 2), (3, 3)}, {2, 3})
-    with pytest.raises(ValueError, match="core node"):
+    with pytest.raises(ValueError, match="core node 1 has out-arcs \\[2\\]$"):
         transfer_matrix(g)
     # core self-loops make no physical sense
     g = _graph(3, {(1, 1), (1, 2), (2, 2), (3, 3)}, {2, 3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="core node 1 has out-arcs \\[1, 2\\]$"):
         transfer_matrix(g)
+    # three supports
+    g = _graph(4, {(1, 2), (1, 3), (1, 4), (2, 2), (3, 3), (4, 4)}, {2, 3, 4})
+    with pytest.raises(ValueError, match="core node 1 has out-arcs \\[2, 3, 4\\]$"):
+        transfer_matrix(g)
+
+
+def test_transfer_matrix_rejects_nodes_outside_the_graph():
+    for arcs, frame in (({(1, 2), (1, 5), (2, 2)}, {2}), ({(1, 1)}, {1, 0})):
+        with pytest.raises(ValueError, match="numbered 1..2"):
+            transfer_matrix(_graph(2, arcs, frame))
 
 
 def test_initial_load_marks_core_cells():
@@ -127,11 +145,83 @@ def test_iterate_parameter_validation():
     t = tiling_from_group("p1", 3, 3)
     A = transfer_matrix(dbg_combinatorial(t))
     x = initial_load(t)
-    for tol in (0.0, -1.0, float("nan")):
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             iterate(A, x, tol=tol)
     with pytest.raises(ValueError):
         iterate(A, x, max_iter=0)
+
+
+def reference_iterate(A, x, tol=1e-12, max_iter=10**6):
+    """The per-step loop that iterate replaced: x = A^T x in the original
+    node order, residual = the sum of the fancy-indexed core loads."""
+    x = np.asarray(x, dtype=np.float64).copy()
+    residual = float(x[A.core].sum()) if len(A.core) else 0.0
+    it, converged = 0, residual < tol
+    AT = A.matrix.T.tocsr()
+    while not converged and it < max_iter:
+        x = AT @ x
+        residual = float(x[A.core].sum())
+        it, converged = it + 1, residual < tol
+    return {int(j) + 1: float(x[j]) for j in A.frame}, residual, it, converged
+
+
+def _assert_same_as_reference(A, x, **kwargs):
+    r = iterate(A, x, **kwargs)
+    frame_load, residual, iterations, converged = reference_iterate(A, x, **kwargs)
+    assert r.iterations == iterations
+    assert r.converged == converged
+    assert r.residual_core_mass == residual
+    assert list(r.frame_load) == list(frame_load)
+    assert all(r.frame_load[j] == v for j, v in frame_load.items())
+
+
+def _random_tiling(m, n, seed):
+    rng = np.random.default_rng(seed)
+    return TruchetTiling(m, n, grid_from_letters(rng.integers(0, 2, m), rng.integers(0, 2, n)))
+
+
+@pytest.mark.parametrize("name", ["p1", "pg", "p4", "random"])
+def test_iterate_is_bit_identical_to_the_reference_loop(name):
+    t = _random_tiling(30, 30, 11) if name == "random" else tiling_from_group(name, 30, 30)
+    _assert_same_as_reference(transfer_matrix(dbg_combinatorial(t)), initial_load(t))
+
+
+def test_iterate_keeps_the_addition_order_of_a_frame_node_fed_from_both_sides():
+    # frame node 3 is fed by core nodes 1 and 2 below its index and 4 and
+    # 5 above it; its new value sums five terms in A^T's stored order
+    arcs = {(1, 2), (1, 3), (2, 3), (2, 6), (4, 3), (4, 5), (5, 3), (5, 6), (3, 3), (6, 6)}
+    A = transfer_matrix(_graph(6, arcs, {3, 6}))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        _assert_same_as_reference(A, rng.uniform(0.0, 1.0, 6))
+
+
+def test_iterate_matches_the_reference_loop_when_trapped():
+    A = transfer_matrix(trapped_graph())
+    _assert_same_as_reference(A, np.array([0.3, 1.1, 0.7, 0.2]), max_iter=7)
+
+
+def test_iterate_stops_on_a_nan_residual():
+    t = tiling_from_group("p4", 100, 100)
+    A = transfer_matrix(dbg_combinatorial(t))
+    x = initial_load(t)
+    x[5050] = np.nan
+    with np.errstate(invalid="ignore"):
+        r = iterate(A, x)
+    assert r.iterations <= 1 and not r.converged
+    assert np.isnan(r.residual_core_mass)
+    # the residual turns NaN at step 1: three supports of 1.5e308 each
+    # overflow node 7 to +inf, their negatives node 8 to -inf
+    a = 1.5e308
+    arcs = {(1, 7), (3, 7), (5, 7), (2, 8), (4, 8), (6, 8), (7, 9), (7, 10), (8, 9), (8, 10)}
+    arcs |= {(i, 9) for i in range(1, 7)} | {(9, 9), (10, 10)}
+    A = transfer_matrix(_graph(10, arcs, {9, 10}))
+    x = np.array([a, -a, a, -a, a, -a, 1.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = iterate(A, x, max_iter=50)
+    assert r.iterations == 1 and not r.converged
+    assert np.isnan(r.residual_core_mass)
 
 
 def test_trapped_cycle_raises_in_closed_form():
