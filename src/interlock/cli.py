@@ -1,7 +1,8 @@
 """Command-line front end: assemble (STL + manifest export), flow
 (frame-load grids), and enumerate (screen all candidate tilings).
 
-Exit codes: 0 success, 2 invalid input, 3 IO failure, 4 unconverged flow.
+Exit codes: 0 success, 2 invalid input (also one too large for memory),
+3 IO failure, 4 unconverged flow.
 All file outputs are deterministic; floats are written with fixed
 6-decimal formatting.
 """
@@ -209,6 +210,10 @@ def main(argv=None) -> int:
         return EXIT_UNCONVERGED
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: not enough memory for this input: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,20 +7,25 @@ rows, core rows carry two 1/2 entries), so one step is multiplication by
 its transpose and total mass is conserved exactly.  `iterate` runs the
 propagation; `closed_form` solves the absorbing-chain limit directly and
 serves as the oracle for it.
+
+scipy is imported inside the functions that build or solve the sparse
+system, so importing this module, and the commands that never reach
+those functions, load numpy alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
 
 from .assembly import TruchetTiling
 from .blocking import BlockingGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOADED_EPS = 1e-9
 
@@ -66,6 +71,8 @@ def transfer_matrix(g: BlockingGraph) -> TransferMatrix:
     """Build A from a blocking graph: 1/2 per core arc, 1 on frame
     diagonals.  Core nodes must have exactly two outgoing arcs.  The
     lowest-numbered node that breaks a rule is the one reported."""
+    import scipy.sparse as sp
+
     n = g.n_nodes
     arcs = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2) - 1
     arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
@@ -115,6 +122,8 @@ def _core_first(A: TransferMatrix) -> sp.csr_matrix:
     matvec makes the same floating-point additions in the same order;
     sorting them by the new labels would move a frame node's self term
     past the core nodes that feed it from above its index."""
+    import scipy.sparse as sp
+
     AT = A.matrix.T.tocsr()
     order = np.concatenate([A.core, A.frame])
     label = np.empty(A.n, dtype=np.int64)
@@ -156,6 +165,8 @@ def _drain_check(Q: sp.csr_matrix, R: sp.csr_matrix):
     one of its Q arcs crosses to another class or one of its rows has an
     R entry.  One pass over the stored entries, O(nnz).
     """
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(Q, directed=True, connection="strong")
     leaks = np.zeros(n_comp, dtype=bool)
     heads = labels[np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))]
@@ -168,6 +179,9 @@ def _drain_check(Q: sp.csr_matrix, R: sp.csr_matrix):
 def closed_form(A: TransferMatrix, x: np.ndarray) -> FlowResult:
     """Absorbing-chain limit: frame load = R^T (I - Q^T)^{-1} x_core with
     Q, R the core->core and core->frame sub-blocks of A."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n,):
         raise ValueError("load vector length mismatch")

@@ -9,7 +9,7 @@ assembly) is not overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,12 @@ class TriMesh:
     """Vertex array (V, 3) and triangle index array (T, 3).
 
     Triangles are wound so their normals point out of the enclosed solid.
+    `_samples` caches `_interior_samples` per tol.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
+    _samples: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=np.float64)
@@ -210,12 +212,22 @@ def point_in_mesh(p, m: TriMesh, tol: float = DEFAULT_TOL, rng=None) -> bool:
     return bool(_points_in_mesh(p, m, tol, rng)[0])
 
 
-def _interior_samples(m: TriMesh, tol: float, rng) -> np.ndarray:
+def _interior_samples(m: TriMesh, tol: float) -> np.ndarray:
     """Triangle centroids nudged inward, kept only if interior to ``m``.
 
     Catches volume overlap between meshes whose boundaries only graze,
-    where no vertex and no proper crossing gives the game away.
+    where no vertex and no proper crossing gives the game away.  Computed
+    once per mesh and ``tol``.
     """
+    if tol not in m._samples:
+        m._samples[tol] = _compute_interior_samples(m, tol)
+    return m._samples[tol]
+
+
+def _compute_interior_samples(m: TriMesh, tol: float) -> np.ndarray:
+    """The samples of ``_interior_samples``, classified against ``m`` with
+    the default seeded rng, so they do not depend on which call asks
+    first."""
     c = m.corners()
     n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
     ln = np.linalg.norm(n, axis=1)
@@ -225,7 +237,7 @@ def _interior_samples(m: TriMesh, tol: float, rng) -> np.ndarray:
     lo, hi = aabb(m)
     delta = max(1e3 * tol, 1e-6 * float(np.linalg.norm(hi - lo)))
     pts = c[keep].mean(axis=1) - n[keep] / ln[keep, None] * delta
-    return pts[_points_in_mesh(pts, m, tol, rng)]
+    return pts[_points_in_mesh(pts, m, tol)]
 
 
 def overlap(a: TriMesh, b: TriMesh, tol: float = DEFAULT_TOL) -> bool:
@@ -255,9 +267,9 @@ def overlap(a: TriMesh, b: TriMesh, tol: float = DEFAULT_TOL) -> bool:
     pts_b = np.vstack([b.vertices, b.vertices.mean(axis=0)])
     if _points_in_mesh(pts_b, a, tol, rng).any():
         return True
-    if _points_in_mesh(_interior_samples(a, tol, rng), b, tol, rng).any():
+    if _points_in_mesh(_interior_samples(a, tol), b, tol, rng).any():
         return True
-    return bool(_points_in_mesh(_interior_samples(b, tol, rng), a, tol, rng).any())
+    return bool(_points_in_mesh(_interior_samples(b, tol), a, tol, rng).any())
 
 
 def mesh_distance(a: TriMesh, b: TriMesh) -> float:

@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import interlock
+from interlock import assembly
 from interlock.cli import main
 
 
@@ -206,6 +212,59 @@ def test_enumerate_checks_gap_and_scale_before_writing(tmp_path, capsys, flag):
     assert code == 2
     assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert not list(out.glob("ranking.*"))
+
+
+def test_input_too_large_for_memory_is_invalid(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(assembly, "tiling_from_group", no_memory)
+    out = tmp_path / "x"
+    code, _, stderr = run(
+        capsys, "flow", "--group", "pg", "--rows", "100000", "--cols", "100000",
+        "--method", "closed_form", "--out", str(out),
+    )
+    assert code == 2
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
+# Runs in a fresh interpreter: the commands that never solve a sparse
+# system, then a closed-form flow, printing the scipy modules loaded by then.
+LAZY_SCIPY = """
+import json, sys
+import interlock
+from interlock import assembly, blocking, cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+codes = [
+    cli.main(["enumerate", "--rows", "4", "--cols", "4", "--top-k", "1", "--out", out + "/e"]),
+    cli.main(["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--out", out + "/a"]),
+]
+blocking.dbg_geometric(assembly.build_assembly(assembly.tiling_from_group("p4", 3, 3)), (0, 0, -1))
+before = scipy_modules()
+codes.append(cli.main(
+    ["flow", "--group", "p4", "--rows", "5", "--cols", "5", "--method", "closed_form", "--out", out + "/f"]
+))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_only_the_sparse_flow_solvers_load_scipy(tmp_path):
+    src = str(Path(interlock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["before"] == []
+    assert "scipy.sparse.linalg" in report["after"]
+    assert json.loads((tmp_path / "f" / "flow.json").read_text())["total_frame_mass"] == 9.0
 
 
 def test_clashing_tiling_is_invalid(tmp_path, capsys):

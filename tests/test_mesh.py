@@ -1,11 +1,14 @@
 """Unit tests for the triangle mesh container and its geometry kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlock.assembly import place_block
+from interlock import mesh
+from interlock.assembly import build_assembly, place_block, tiling_from_group
 from interlock.isometry import Isometry2, extend3
 from interlock.mesh import (
     TriMesh,
@@ -248,6 +251,38 @@ def test_overlap_is_symmetric(dx, dz):
     a = unit_cube()
     b = translate(a, (dx, 0.0, dz))
     assert overlap(a, b) == overlap(b, a)
+
+
+def test_overlap_answers_do_not_depend_on_pair_order(monkeypatch):
+    computed = []
+    compute = mesh._compute_interior_samples
+
+    def counting(m, tol):
+        computed.append(m)
+        return compute(m, tol)
+
+    monkeypatch.setattr(mesh, "_compute_interior_samples", counting)
+
+    def audit(reverse):
+        meshes = [m for _, _, m in build_assembly(tiling_from_group("p4", 4, 4)).blocks]
+        meshes.append(translate(meshes[5], (0.0, 0.0, 0.0)))  # a coincident copy
+        pairs = list(itertools.combinations(range(len(meshes)), 2))
+        if reverse:
+            answers = {(i, j): overlap(meshes[j], meshes[i]) for i, j in reversed(pairs)}
+        else:
+            answers = {(i, j): overlap(meshes[i], meshes[j]) for i, j in pairs}
+        return answers, meshes
+
+    forward, meshes_f = audit(reverse=False)
+    backward, meshes_b = audit(reverse=True)
+    assert forward == backward
+    assert [pair for pair, hit in forward.items() if hit] == [(5, 16)]
+    assert computed
+    assert len({id(m) for m in computed}) == len(computed)
+    for a, b in zip(meshes_f, meshes_b):
+        assert np.array_equal(
+            mesh._interior_samples(a, mesh.DEFAULT_TOL), mesh._interior_samples(b, mesh.DEFAULT_TOL)
+        )
 
 
 def test_mesh_distance():
