@@ -35,6 +35,7 @@ DEDUP_GROUP = "letter-complement group of order 8 (free action), not dihedral"
 
 # orientation = ORIENT_FROM_VH[v, h]; v: 0=N 1=S, h: 0=W 1=E
 ORIENT_FROM_VH = np.array([[0, 1], [3, 2]], dtype=np.int64)
+ORIENT_DIGITS = (ORIENT_FROM_VH + ord("0")).astype(np.uint8)
 
 METRICS = ("max_load", "cv", "loaded_cells")
 
@@ -184,6 +185,8 @@ def evaluate(c: CandidateSet, chunk: int = 2048) -> CandidateSet:
     neighbour west (row letter W) or east (E) and north (N) or south (S),
     with weight 1/2 each.  A frame cell has one core neighbour, so its
     load is half the outflow y of that neighbour if it leans on the cell.
+    Frame cells emit no arcs, so one solve per distinct set of core
+    letters h[1:m-1], v[1:n-1] serves every candidate that shares it.
     """
     m, n = c.rows, c.cols
     cells = np.arange(m * n).reshape(m, n)
@@ -200,9 +203,15 @@ def evaluate(c: CandidateSet, chunk: int = 2048) -> CandidateSet:
     v_target = core[:, None] + np.array([-n, n])
     inner = np.arange(k)
 
-    frame_load = np.zeros((len(c), len(frame)))
-    for start in range(0, len(c), chunk):
-        hb, vb = c.h[start : start + chunk], c.v[start : start + chunk]
+    # one byte string per candidate, its core letters packed 8 to a byte
+    packed = np.packbits(np.concatenate([c.h[:, 1:-1], c.v[:, 1:-1]], axis=1), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+
+    loads = np.zeros((len(first), len(frame)))
+    for start in range(0, len(first), chunk):
+        rep = first[start : start + chunk]
+        hb, vb = c.h[rep], c.v[rep]
         targets = (h_target[inner, hb[:, row]], v_target[inner, vb[:, col]])
         system = np.zeros((len(hb), k, k))
         system[:, inner, inner] = 1.0
@@ -210,16 +219,18 @@ def evaluate(c: CandidateSet, chunk: int = 2048) -> CandidateSet:
             b, i = np.nonzero(is_core[target])
             system[b, slot[target[b, i]], i] = -0.5
         y = np.linalg.solve(system, np.ones((len(hb), k, 1)))[..., 0]
-        loads = frame_load[start : start + chunk]
+        out = loads[start : start + chunk]
         for target in targets:
             b, i = np.nonzero(~is_core[target])
-            loads[b, slot[target[b, i]]] = 0.5 * y[b, i]
+            out[b, slot[target[b, i]]] = 0.5 * y[b, i]
+    frame_load = loads[inverse]
     return replace(c, frame_load=frame_load, metrics=flows.frame_metrics(frame_load))
 
 
 def screen(c: CandidateSet, metric: str = "max_load") -> Ranking:
-    """Rank all candidates by the chosen metric, ascending; ties keep
-    canonical enumeration order."""
+    """Rank all candidates by a stable ascending sort on the chosen metric.
+    `max_load` and `cv` values equal in exact arithmetic can differ by a
+    few ulps after the solve, so their order depends on the LAPACK build."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if not len(c):
@@ -237,9 +248,10 @@ def _ranked_rows(ranked: Ranking):
     """(rank, orientation string, max_load, cv, loaded_cells) per ranked
     candidate, as Python values."""
     c, order = ranked.candidates, ranked.order
-    grids = grid_from_letters(c.h[order], c.v[order]).reshape(len(order), -1)
-    digits = (grids + ord("0")).astype(np.uint8)
-    strings = [row.tobytes().decode("ascii") for row in digits]
+    h, v = c.h[order].astype(np.uint8), c.v[order].astype(np.uint8)
+    blob = ORIENT_DIGITS[v[:, None, :], h[:, :, None]].tobytes().decode("ascii")
+    size = c.rows * c.cols
+    strings = [blob[i : i + size] for i in range(0, len(blob), size)]
     metrics = (c.metrics[k][order].tolist() for k in ("max_load", "cv", "loaded_cells"))
     return zip(range(1, len(order) + 1), strings, *metrics)
 

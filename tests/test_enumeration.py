@@ -135,6 +135,111 @@ def test_evaluate_matches_the_sparse_closed_form():
             assert c.metrics[key][i] == pytest.approx(expected[key], abs=1e-12)
 
 
+def reference_frame_load(c: CandidateSet, chunk: int = 2048) -> np.ndarray:
+    """The solve that evaluate replaced: one dense system per candidate,
+    in chunks of candidates in their given order."""
+    m, n = c.rows, c.cols
+    cells = np.arange(m * n).reshape(m, n)
+    core = cells[1:-1, 1:-1].ravel()
+    frame = np.setdiff1d(cells, core)
+    k = len(core)
+    is_core = np.isin(cells.ravel(), core)
+    slot = np.empty(m * n, dtype=np.int64)
+    slot[core] = np.arange(k)
+    slot[frame] = np.arange(len(frame))
+    row, col = np.divmod(core, n)
+    h_target = core[:, None] + np.array([-1, 1])
+    v_target = core[:, None] + np.array([-n, n])
+    inner = np.arange(k)
+
+    frame_load = np.zeros((len(c), len(frame)))
+    for start in range(0, len(c), chunk):
+        hb, vb = c.h[start : start + chunk], c.v[start : start + chunk]
+        targets = (h_target[inner, hb[:, row]], v_target[inner, vb[:, col]])
+        system = np.zeros((len(hb), k, k))
+        system[:, inner, inner] = 1.0
+        for target in targets:
+            b, i = np.nonzero(is_core[target])
+            system[b, slot[target[b, i]], i] = -0.5
+        y = np.linalg.solve(system, np.ones((len(hb), k, 1)))[..., 0]
+        loads = frame_load[start : start + chunk]
+        for target in targets:
+            b, i = np.nonzero(~is_core[target])
+            loads[b, slot[target[b, i]]] = 0.5 * y[b, i]
+    return frame_load
+
+
+@pytest.mark.parametrize("size", [(6, 6), (8, 8)])
+def test_evaluate_is_bit_identical_to_the_per_candidate_solve(size):
+    c = evaluate(enumerate_tilings(*size))
+    frame_load = reference_frame_load(c)
+    assert np.array_equal(c.frame_load, frame_load)
+    expected = flows.frame_metrics(frame_load)
+    for key in METRICS:
+        assert np.array_equal(c.metrics[key], expected[key])
+
+
+def _sparse_frame_load(t: TruchetTiling) -> np.ndarray:
+    r = flows.closed_form(flows.transfer_matrix(dbg_combinatorial(t)), flows.initial_load(t))
+    return np.array([r.frame_load[j] for j in sorted(r.frame_load)])
+
+
+def _assert_rows_match_lone_evaluations(c: CandidateSet):
+    ev = evaluate(c)
+    for i, t in enumerate(c.tilings):
+        alone = evaluate(CandidateSet(c.rows, c.cols, c.h[i : i + 1], c.v[i : i + 1]))
+        assert np.array_equal(ev.frame_load[i], alone.frame_load[0])
+        for key in METRICS:
+            assert ev.metrics[key][i] == alone.metrics[key][0]
+        assert np.allclose(ev.frame_load[i], _sparse_frame_load(t), rtol=0.0, atol=1e-12)
+    return ev
+
+
+def test_evaluate_on_a_shuffled_set_with_duplicates_and_random_frame_letters():
+    rng = np.random.default_rng(12)
+    base = enumerate_tilings(5, 6)
+    pick = rng.integers(0, len(base), 120)
+    h, v = base.h[pick], base.v[pick]
+    for letters in (h[:, 0], h[:, -1], v[:, 0], v[:, -1]):
+        letters[:] = rng.integers(0, 2, len(pick))
+    assert len(np.unique(np.hstack([h, v]), axis=0)) < len(pick)
+    _assert_rows_match_lone_evaluations(CandidateSet(5, 6, h, v))
+
+
+def test_evaluate_keys_on_every_core_letter_of_a_large_grid():
+    # 36x36 has 68 core letters: h[1:35] are core letters 0-33 and v[1:35]
+    # core letters 34-67.  The variants flip letters past the 64th (v[31],
+    # v[34]), the first (h[1]), h[1] and v[31] together, which a 64-bit
+    # key with wrapping shifts cannot tell apart, and the frame letters
+    rng = np.random.default_rng(36)
+    h0, v0 = rng.integers(0, 2, 36), rng.integers(0, 2, 36)
+    h0[1], v0[31] = 0, 1
+    variants = [(), ("v34",), ("v31",), ("h1",), ("h1", "v31"), ("v35",), ("h35",)]
+    h, v = np.tile(h0, (len(variants), 1)), np.tile(v0, (len(variants), 1))
+    for i, flips in enumerate(variants):
+        for flip in flips:
+            letters, j = (h if flip[0] == "h" else v), int(flip[1:])
+            letters[i, j] = 1 - letters[i, j]
+    ev = _assert_rows_match_lone_evaluations(CandidateSet(36, 36, h, v))
+    assert len(np.unique(ev.frame_load[:5], axis=0)) == 5
+    assert np.array_equal(ev.frame_load[5], ev.frame_load[0])
+    assert np.array_equal(ev.frame_load[6], ev.frame_load[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(letter_tilings(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_frame_letters_change_neither_the_arcs_nor_the_frame_loads(hv, flips):
+    h, v = hv
+    m, n = len(h), len(v)
+    h2, v2 = h.copy(), v.copy()
+    for letters, i, flip in zip((h2, h2, v2, v2), (0, m - 1, 0, n - 1), flips):
+        letters[i] ^= flip
+    t = TruchetTiling(m, n, grid_from_letters(h, v))
+    t2 = TruchetTiling(m, n, grid_from_letters(h2, v2))
+    assert dbg_combinatorial(t2).arcs == dbg_combinatorial(t).arcs
+    assert np.array_equal(_sparse_frame_load(t2), _sparse_frame_load(t))
+
+
 def test_screen_ranks_by_metric():
     ranked = screen(enumerate_tilings(3, 3))
     assert [r.rank for r in ranked] == list(range(1, 9))
