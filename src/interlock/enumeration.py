@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,16 @@ class Ranking(Sequence):
             tiling=c[position],
             metrics={k: c.metrics[k][position].item() for k in METRICS},
         )
+
+    @cached_property
+    def columns(self) -> tuple[list[str], dict]:
+        """The orientation strings and every metric array, in rank order."""
+        c, order = self.candidates, self.order
+        h, v = c.h[order].astype(np.uint8), c.v[order].astype(np.uint8)
+        blob = ORIENT_DIGITS[v[:, None, :], h[:, :, None]].tobytes().decode("ascii")
+        size = c.rows * c.cols
+        strings = [blob[i : i + size] for i in range(0, len(blob), size)]
+        return strings, {k: c.metrics[k][order] for k in METRICS}
 
 
 def grid_from_letters(h_bits, v_bits) -> np.ndarray:
@@ -177,16 +188,23 @@ def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
     return sorted(seen.values(), key=lambda t: tuple(t.orientation.ravel()))
 
 
-def evaluate(c: CandidateSet, chunk: int = 2048) -> CandidateSet:
+def evaluate(c: CandidateSet, chunk: int = 1024) -> CandidateSet:
     """Frame loads and metrics for every candidate.
 
-    Each chunk solves the absorbing chain (I - Q^T) y = 1 on the core
-    densely, with the arcs read off the letters: a core cell leans on the
+    The absorbing chain (I - Q^T) y = 1 is solved on the core densely,
+    with the arcs read off the letters: a core cell leans on the
     neighbour west (row letter W) or east (E) and north (N) or south (S),
     with weight 1/2 each.  A frame cell has one core neighbour, so its
     load is half the outflow y of that neighbour if it leans on the cell.
     Frame cells emit no arcs, so one solve per distinct set of core
     letters h[1:m-1], v[1:n-1] serves every candidate that shares it.
+
+    `chunk` is the number of systems per LAPACK call.  The calling thread
+    assembles the chunks into two buffers in turn; with two or more
+    chunks one worker thread solves every other chunk while the calling
+    thread solves the next, so two calls are in flight.  Each matrix goes
+    through the same dgesv call whatever the chunk and the thread, so the
+    results are bit-identical for any `chunk`.
     """
     m, n = c.rows, c.cols
     cells = np.arange(m * n).reshape(m, n)
@@ -207,22 +225,58 @@ def evaluate(c: CandidateSet, chunk: int = 2048) -> CandidateSet:
     packed = np.packbits(np.concatenate([c.h[:, 1:-1], c.v[:, 1:-1]], axis=1), axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    systems = len(first)
+    starts = range(0, systems, chunk)
+    size = min(chunk, systems)
+    buffers = [np.empty((size, k, k)) for _ in starts[:2]]
+    ones = np.ones((size, k, 1))
+    loads = np.zeros((systems, len(frame)))
 
-    loads = np.zeros((len(first), len(frame)))
-    for start in range(0, len(first), chunk):
-        rep = first[start : start + chunk]
-        hb, vb = c.h[rep], c.v[rep]
+    def assemble(j):
+        """Chunk j's systems in buffer j % 2, and its arc targets."""
+        rep = first[starts[j] : starts[j] + chunk]
+        # letters index h_target and v_target, so bool letters must not act as masks
+        hb, vb = c.h[rep].astype(np.intp), c.v[rep].astype(np.intp)
         targets = (h_target[inner, hb[:, row]], v_target[inner, vb[:, col]])
-        system = np.zeros((len(hb), k, k))
+        system = buffers[j % 2][: len(rep)]
+        system.fill(0.0)
         system[:, inner, inner] = 1.0
         for target in targets:
             b, i = np.nonzero(is_core[target])
             system[b, slot[target[b, i]], i] = -0.5
-        y = np.linalg.solve(system, np.ones((len(hb), k, 1)))[..., 0]
-        out = loads[start : start + chunk]
+        return system, targets
+
+    def scatter(j, targets, y):
+        out = loads[starts[j] : starts[j] + chunk]
         for target in targets:
             b, i = np.nonzero(~is_core[target])
-            out[b, slot[target[b, i]]] = 0.5 * y[b, i]
+            out[b, slot[target[b, i]]] = 0.5 * y[b, i, 0]
+
+    def solve(system):
+        return np.linalg.solve(system, ones[: len(system)])
+
+    handed = 0  # for a run report: of len(starts) chunks, those the worker solved
+    pool = None
+    if len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)
+    try:
+        for j in range(0, len(starts), 2):
+            system, targets = assemble(j)
+            if j + 1 == len(starts):
+                scatter(j, targets, solve(system))
+                break
+            # the worker runs nothing but the solve, which releases the GIL
+            future = pool.submit(solve, system)
+            handed += 1
+            system2, targets2 = assemble(j + 1)
+            y2 = solve(system2)
+            scatter(j, targets, future.result())
+            scatter(j + 1, targets2, y2)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     frame_load = loads[inverse]
     return replace(c, frame_load=frame_load, metrics=flows.frame_metrics(frame_load))
 
@@ -244,45 +298,37 @@ def orientation_string(t: TruchetTiling) -> str:
     return "".join(str(int(v)) for v in t.orientation.ravel())
 
 
-def _ranked_rows(ranked: Ranking):
+def _format_once(values: np.ndarray, fmt) -> list[str]:
+    """[fmt(x) for x in values], calling fmt once per distinct float64 bit
+    pattern, so values that compare equal, such as 0.0 and -0.0, are
+    never merged."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _ranked_fields(ranked: Ranking, fmt):
     """(rank, orientation string, max_load, cv, loaded_cells) per ranked
-    candidate, as Python values."""
-    c, order = ranked.candidates, ranked.order
-    h, v = c.h[order].astype(np.uint8), c.v[order].astype(np.uint8)
-    blob = ORIENT_DIGITS[v[:, None, :], h[:, :, None]].tobytes().decode("ascii")
-    size = c.rows * c.cols
-    strings = [blob[i : i + size] for i in range(0, len(blob), size)]
-    metrics = (c.metrics[k][order].tolist() for k in ("max_load", "cv", "loaded_cells"))
-    return zip(range(1, len(order) + 1), strings, *metrics)
+    candidate, the two floats as fmt writes them."""
+    strings, columns = ranked.columns
+    floats = (_format_once(columns[k], fmt) for k in ("max_load", "cv"))
+    return zip(range(1, len(strings) + 1), strings, *floats, columns["loaded_cells"].tolist())
 
 
 def write_ranking_csv(ranked: Ranking, path) -> None:
+    rows = [
+        f"{rank},{s},true,{max_load},{cv},{loaded}\n"
+        for rank, s, max_load, cv, loaded in _ranked_fields(ranked, lambda x: f"{x:.6f}")
+    ]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("rank,orientations,converged,max_load,cv,loaded_cells\n")
-        for rank, s, max_load, cv, loaded in _ranked_rows(ranked):
-            fh.write(f"{rank},{s},true,{max_load:.6f},{cv:.6f},{loaded}\n")
-
-
-# One ranking.json candidate as json.dump(indent=2, sort_keys=True) lays
-# it out; the metrics are finite, so repr writes each float as json does.
-_CANDIDATE_JSON = """\
-    {{
-      "converged": true,
-      "metrics": {{
-        "cv": {cv!r},
-        "iterations": 0,
-        "loaded_cells": {loaded},
-        "max_load": {max_load!r}
-      }},
-      "orientations": "{orientations}",
-      "rank": {rank}
-    }}"""
+        fh.write("rank,orientations,converged,max_load,cv,loaded_cells\n" + "".join(rows))
 
 
 def write_ranking_json(ranked: Ranking, rows, cols, metric, path) -> None:
     """The ranking as JSON, byte for byte what json.dump(payload, indent=2,
-    sort_keys=True) writes, with the candidate records formatted from one
-    template.  "iterations" is 0 because the closed form takes no steps."""
+    sort_keys=True) writes, each candidate record laid out as json.dump
+    lays it out.  The metrics are finite, so repr writes each float as json
+    does.  "iterations" is 0 because the closed form takes no steps."""
     header = {
         "rows": rows,
         "cols": cols,
@@ -290,14 +336,24 @@ def write_ranking_json(ranked: Ranking, rows, cols, metric, path) -> None:
         "count": len(ranked),
         "dedup_group": DEDUP_GROUP,
     }
-    candidates = ",\n".join(
-        _CANDIDATE_JSON.format(
-            rank=rank, orientations=s, cv=round(cv, 6), loaded=loaded, max_load=round(max_load, 6)
-        )
-        for rank, s, max_load, cv, loaded in _ranked_rows(ranked)
-    )
+    records = [
+        f"""\
+    {{
+      "converged": true,
+      "metrics": {{
+        "cv": {cv},
+        "iterations": 0,
+        "loaded_cells": {loaded},
+        "max_load": {max_load}
+      }},
+      "orientations": "{s}",
+      "rank": {rank}
+    }}"""
+        for rank, s, max_load, cv, loaded in _ranked_fields(ranked, lambda x: repr(round(x, 6)))
+    ]
     # "candidates" sorts before every header key
     rest = json.dumps(header, indent=2, sort_keys=True)[len("{\n"):]
+    candidates = ",\n".join(records)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f'{{\n  "candidates": [\n{candidates}\n  ],\n{rest}\n')
 

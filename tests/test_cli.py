@@ -231,6 +231,7 @@ def test_input_too_large_for_memory_is_invalid(tmp_path, capsys, monkeypatch):
 
 # Runs in a fresh interpreter: the commands that never solve a sparse
 # system, then a closed-form flow, printing the scipy modules loaded by then.
+# It also reports whether the import and the enumerate load concurrent.futures.
 LAZY_SCIPY = """
 import json, sys
 import interlock
@@ -239,17 +240,17 @@ from interlock import assembly, blocking, cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+futures = ["concurrent.futures" in sys.modules]
 out = sys.argv[1]
-codes = [
-    cli.main(["enumerate", "--rows", "4", "--cols", "4", "--top-k", "1", "--out", out + "/e"]),
-    cli.main(["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--out", out + "/a"]),
-]
+codes = [cli.main(["enumerate", "--rows", "4", "--cols", "4", "--top-k", "1", "--out", out + "/e"])]
+futures.append("concurrent.futures" in sys.modules)
+codes.append(cli.main(["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--out", out + "/a"]))
 blocking.dbg_geometric(assembly.build_assembly(assembly.tiling_from_group("p4", 3, 3)), (0, 0, -1))
 before = scipy_modules()
 codes.append(cli.main(
     ["flow", "--group", "p4", "--rows", "5", "--cols", "5", "--method", "closed_form", "--out", out + "/f"]
 ))
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(), "futures": futures}))
 """
 
 
@@ -264,6 +265,7 @@ def test_only_the_sparse_flow_solvers_load_scipy(tmp_path):
     assert report["codes"] == [0, 0, 0]
     assert report["before"] == []
     assert "scipy.sparse.linalg" in report["after"]
+    assert report["futures"] == [False, False]
     assert json.loads((tmp_path / "f" / "flow.json").read_text())["total_frame_mass"] == 9.0
 
 

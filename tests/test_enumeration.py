@@ -1,6 +1,7 @@
 """Unit tests for tiling enumeration, dedup, and screening."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -179,6 +180,51 @@ def test_evaluate_is_bit_identical_to_the_per_candidate_solve(size):
         assert np.array_equal(c.metrics[key], expected[key])
 
 
+@pytest.mark.parametrize("size", [(4, 5), (6, 6)])
+def test_evaluate_gives_the_same_bits_for_bool_int64_and_uint8_letters(size):
+    e = enumerate_tilings(*size)
+    results = [
+        evaluate(CandidateSet(*size, e.h.astype(dtype), e.v.astype(dtype)))
+        for dtype in (bool, np.int64, np.uint8)
+    ]
+    for r in results[1:]:
+        assert np.array_equal(r.frame_load, results[0].frame_load)
+        for key in METRICS:
+            assert np.array_equal(r.metrics[key], results[0].metrics[key])
+
+
+@pytest.mark.parametrize("size", [(6, 6), (8, 8)])
+def test_evaluate_is_independent_of_the_chunk_size(size):
+    # 6x6 has 128 distinct systems and 8x8 2,048: chunks of 1, 7 and 1000
+    # give an even or odd number of chunks, a short last chunk, one chunk
+    c = enumerate_tilings(*size)
+    threads = threading.active_count()
+    expected = evaluate(c)
+    for chunk in (1, 7, 1000):
+        ev = evaluate(c, chunk=chunk)
+        assert threading.active_count() == threads
+        assert np.array_equal(ev.frame_load, expected.frame_load)
+        for key in METRICS:
+            assert np.array_equal(ev.metrics[key], expected.metrics[key])
+
+
+def test_only_a_set_of_two_or_more_chunks_starts_a_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    c = enumerate_tilings(6, 6)
+    evaluate(c)
+    assert started == []
+    evaluate(c, chunk=7)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+
+
 def _sparse_frame_load(t: TruchetTiling) -> np.ndarray:
     r = flows.closed_form(flows.transfer_matrix(dbg_combinatorial(t)), flows.initial_load(t))
     return np.array([r.frame_load[j] for j in sorted(r.frame_load)])
@@ -303,35 +349,79 @@ def test_ranking_json(tmp_path):
     assert payload["candidates"][0]["rank"] == 1
 
 
+def _json_reference(r: Ranking, rows: int, cols: int, metric: str) -> str:
+    payload = {
+        "rows": rows,
+        "cols": cols,
+        "metric": metric,
+        "count": len(r),
+        "dedup_group": DEDUP_GROUP,
+        "candidates": [
+            {
+                "rank": rc.rank,
+                "orientations": orientation_string(rc.tiling),
+                "converged": True,
+                "metrics": {
+                    "cv": round(rc.metrics["cv"], 6),
+                    "iterations": 0,
+                    "loaded_cells": rc.metrics["loaded_cells"],
+                    "max_load": round(rc.metrics["max_load"], 6),
+                },
+            }
+            for rc in r
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_reference(r: Ranking) -> str:
+    """The CSV as the writer once laid it out, one formatted row per
+    candidate."""
+    lines = ["rank,orientations,converged,max_load,cv,loaded_cells\n"]
+    for rc in r:
+        m = rc.metrics
+        s = orientation_string(rc.tiling)
+        lines.append(f"{rc.rank},{s},true,{m['max_load']:.6f},{m['cv']:.6f},{m['loaded_cells']}\n")
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("size", [(4, 5), (6, 6)])
 def test_ranking_json_matches_the_json_module(tmp_path, size, metric):
     ranked = screen(enumerate_tilings(*size), metric)
     for r in (ranked, Ranking(ranked.candidates, ranked.order[:1])):
-        payload = {
-            "rows": size[0],
-            "cols": size[1],
-            "metric": metric,
-            "count": len(r),
-            "dedup_group": DEDUP_GROUP,
-            "candidates": [
-                {
-                    "rank": rc.rank,
-                    "orientations": orientation_string(rc.tiling),
-                    "converged": True,
-                    "metrics": {
-                        "cv": round(rc.metrics["cv"], 6),
-                        "iterations": 0,
-                        "loaded_cells": rc.metrics["loaded_cells"],
-                        "max_load": round(rc.metrics["max_load"], 6),
-                    },
-                }
-                for rc in r
-            ],
-        }
         path = tmp_path / "ranking.json"
         write_ranking_json(r, size[0], size[1], metric, path)
-        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == _json_reference(r, size[0], size[1], metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("size", [(4, 5), (6, 6)])
+def test_ranking_csv_matches_the_per_row_formatter(tmp_path, size, metric):
+    ranked = screen(enumerate_tilings(*size), metric)
+    for r in (ranked, Ranking(ranked.candidates, ranked.order[:1])):
+        path = tmp_path / "ranking.csv"
+        write_ranking_csv(r, path)
+        assert path.read_text() == _csv_reference(r)
+
+
+def test_writers_format_each_bit_pattern_of_a_metric(tmp_path):
+    # repeated values, values that round to the same 6 decimals but differ
+    # in their bits, and 0.0 beside -0.0, which compare equal
+    tiny = np.nextafter(0.0, 1.0)
+    max_load = np.array([1.5, 1.5, 0.0, -0.0, 0.1, np.nextafter(0.1, 1.0), 2.0000004, -0.0])
+    cv = np.array([-0.0, 0.0, 0.0, tiny, -tiny, 0.25, 0.25, 1 / 3])
+    e = enumerate_tilings(3, 3)
+    c = CandidateSet(
+        3, 3, e.h, e.v,
+        metrics={"max_load": max_load, "cv": cv, "loaded_cells": np.array([4, 4, 0, 0, 3, 3, 5, 0])},
+    )
+    for order in (np.arange(8), np.array([3, 2, 1, 0, 7, 6, 5, 4])):
+        r = Ranking(c, order)
+        write_ranking_csv(r, tmp_path / "ranking.csv")
+        write_ranking_json(r, 3, 3, "max_load", tmp_path / "ranking.json")
+        assert (tmp_path / "ranking.csv").read_text() == _csv_reference(r)
+        assert (tmp_path / "ranking.json").read_text() == _json_reference(r, 3, 3, "max_load")
 
 
 def test_export_top_k(tmp_path):
