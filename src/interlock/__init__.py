@@ -8,6 +8,7 @@ enumerate/screen the whole design space of valid tilings.
 from ._kernels import BACKEND
 from .assembly import (
     Assembly,
+    Isometry3,
     TruchetTiling,
     build_assembly,
     count_assemblies,
@@ -38,19 +39,6 @@ from .flows import (
     step,
     transfer_matrix,
 )
-from .isometry import (
-    Isometry2,
-    Isometry3,
-    WallpaperGroup,
-    apply2,
-    apply3,
-    compose,
-    extend3,
-    group_elements,
-    identity2,
-    invert,
-    wallpaper_group,
-)
 from .mesh import (
     TriMesh,
     cross_section_area,
@@ -73,20 +61,15 @@ __all__ = [
     "CandidateSet",
     "FlowError",
     "FlowResult",
-    "Isometry2",
     "Isometry3",
     "TransferMatrix",
     "TriMesh",
     "TruchetTiling",
     "VersatileBlock",
-    "WallpaperGroup",
-    "apply2",
-    "apply3",
     "brute_force_tilings",
     "build_assembly",
     "canonicalize",
     "closed_form",
-    "compose",
     "count_assemblies",
     "core_indices",
     "cross_section_area",
@@ -95,13 +78,9 @@ __all__ = [
     "enumerate_tilings",
     "euler_characteristic",
     "export_assembly",
-    "extend3",
     "flow_metrics",
     "frame_indices",
-    "group_elements",
-    "identity2",
     "initial_load",
-    "invert",
     "iterate",
     "oriented_block",
     "overlap",
@@ -116,7 +95,6 @@ __all__ = [
     "validate_mesh",
     "validate_tiling",
     "versatile_block",
-    "wallpaper_group",
     "write_obj",
     "write_stl",
 ]

@@ -1,10 +1,17 @@
-"""Assemblies as Truchet tilings: the p1/pg/p4 wallpaper patterns, the
-alternating-color validity rule, block placement on the diamond lattice,
-frame/core partition, and STL + manifest export.
+"""Assemblies as Truchet tilings: the letter model of valid tilings, the
+lean rule, the p1/pg/p4 wallpaper patterns, block placement on the
+diamond lattice, frame/core partition, and STL + manifest export.
 
 Grid cells are addressed (row, col), 1-based, with linear index
 (r - 1) * cols + c.  Cell (r, c) sits at r * (1, -1) + c * (1, 1) in
 lattice units; the perimeter cells are the frame, the interior the core.
+
+A tiling is valid when across each shared side exactly one of the two
+facing sides is white.  Every valid tiling is a choice of one letter per
+row, h (0=W, 1=E), and one per column, v (0=N, 1=S): cell (r, c) then has
+the orientation whose white sides are those two, ORIENT_FROM_VH[v_c, h_r]
+(see block.WHITE_SIDES).  A core cell leans on the two neighbours across
+its white sides.
 """
 
 from __future__ import annotations
@@ -15,28 +22,41 @@ from pathlib import Path
 
 import numpy as np
 
-from .block import BLOCK_CENTER_XY, WHITE_SIDES, oriented_block
-from .isometry import Isometry3, WallpaperGroup, _R_CW
+from .block import _R_CW, BLOCK_CENTER_XY, oriented_block
 from .mesh import TriMesh, translate, scale as scale_mesh, write_stl
 
 ROW_STEP = np.array([1.0, -1.0])
 COL_STEP = np.array([1.0, 1.0])
 
-# Grid-compass deltas in (row, col).
-SIDE_STEPS = {"N": (-1, 0), "S": (1, 0), "W": (0, -1), "E": (0, 1)}
-_OPPOSITE = {"N": "S", "S": "N", "W": "E", "E": "W"}
+# orientation = ORIENT_FROM_VH[v, h]; v: 0=N 1=S, h: 0=W 1=E
+ORIENT_FROM_VH = np.array([[0, 1], [3, 2]], dtype=np.int64)
 
-# EDGE_OK[axis, a, b]: across the side shared by orientation a and its east
-# (axis 0) or south (axis 1) neighbour b, exactly one facing side is white.
-EDGE_OK = np.array(
-    [
-        [
-            [(side in WHITE_SIDES[a]) != (_OPPOSITE[side] in WHITE_SIDES[b]) for b in range(4)]
-            for a in range(4)
-        ]
-        for side in ("E", "S")
-    ]
-)
+
+def grid_from_letters(h_bits, v_bits) -> np.ndarray:
+    """Orientation grid of one tiling from (m,) and (n,) letters, or the
+    (B, m, n) grids of a batch from (B, m) and (B, n) letters."""
+    h = np.asarray(h_bits, dtype=np.int64)
+    v = np.asarray(v_bits, dtype=np.int64)
+    return ORIENT_FROM_VH[v[..., None, :], h[..., :, None]]
+
+
+def letters_from_grid(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row letters (0=W, 1=E) and column letters (0=N, 1=S) of a valid
+    orientation grid, read off its first column and first row."""
+    o = np.asarray(o)
+    h = np.isin(o[:, 0], (1, 2)).astype(np.int64)
+    v = np.isin(o[0, :], (2, 3)).astype(np.int64)
+    return h, v
+
+
+def lean_targets(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lean rule on an m x n grid, as 0-based linear cell indices: the
+    (k,) core cells, and their (k, 2) targets by row letter and by column
+    letter.  Core cell i of row r and column c leans on
+    h_target[i, h[r]] (west or east) and v_target[i, v[c]] (north or
+    south), with weight 1/2 each."""
+    core = np.arange(m * n).reshape(m, n)[1:-1, 1:-1].ravel()
+    return core, core[:, None] + np.array([-1, 1]), core[:, None] + np.array([-n, n])
 
 
 @dataclass(frozen=True)
@@ -90,42 +110,29 @@ def core_indices(rows: int, cols: int) -> frozenset[int]:
     return frozenset((np.flatnonzero(~frame_mask(rows, cols)) + 1).tolist())
 
 
-def _group_name(g) -> str:
-    if isinstance(g, WallpaperGroup):
-        return g.name
-    return str(g)
+def tiling_from_group(g: str, m: int, n: int) -> TruchetTiling:
+    """The symmetric letter pattern for wallpaper group p1, pg, or p4.
 
-
-def tiling_from_group(g, m: int, n: int) -> TruchetTiling:
-    """The symmetric orientation pattern for wallpaper group p1, pg, or p4.
-
-    p1 repeats one orientation, pg alternates two by column, p4 cycles four
-    in a 2×2-periodic pattern.
+    p1 has every row W and every column N, one orientation throughout; pg
+    alternates its column letters from S, so two orientations alternate by
+    column; p4 also alternates its row letters from W, which cycles four
+    orientations in a 2×2-periodic pattern.
     """
     if m < 3 or n < 3:
         raise ValueError("need m, n >= 3 for a nonempty core")
-    name = _group_name(g)
-    rr = np.arange(1, m + 1)[:, None]
-    cc = np.arange(1, n + 1)[None, :]
-    if name == "p1":
-        o = np.zeros((m, n), dtype=np.int64)
-    elif name == "pg":
-        o = np.where(cc % 2 == 0, 0, 3) + np.zeros((m, 1), dtype=np.int64)
-    elif name == "p4":
-        lut = {(1, 0): 0, (0, 0): 1, (0, 1): 2, (1, 1): 3}
-        o = np.zeros((m, n), dtype=np.int64)
-        for (rp, cp), k in lut.items():
-            o[(rr % 2 == rp) & (cc % 2 == cp)] = k
-    else:
-        raise ValueError(f"unknown wallpaper group {name!r}")
-    return TruchetTiling(m, n, o, group=name)
+    r, c = np.arange(m), np.arange(n)
+    letters = {"p1": (0 * r, 0 * c), "pg": (0 * r, (c + 1) % 2), "p4": (r % 2, (c + 1) % 2)}
+    if g not in letters:
+        raise ValueError(f"unknown wallpaper group {g!r}")
+    return TruchetTiling(m, n, grid_from_letters(*letters[g]), group=g)
 
 
 def validate_tiling(t: TruchetTiling) -> bool:
-    """True iff every interior edge alternates colors: across each shared
-    side, exactly one of the two facing sides is white."""
+    """True iff the grid is a letter tiling, which is the alternating-color
+    rule: across each shared side exactly one of the two facing sides is
+    white."""
     o = t.orientation
-    return bool(EDGE_OK[0, o[:, :-1], o[:, 1:]].all() and EDGE_OK[1, o[:-1], o[1:]].all())
+    return np.array_equal(grid_from_letters(*letters_from_grid(o)), o)
 
 
 def count_assemblies(m: int, n: int) -> int:
@@ -164,6 +171,34 @@ def cell_translation(r: int, c: int, gap: float = 0.0) -> np.ndarray:
     """Lattice-unit xy position of cell (r, c); gap > 0 spreads the lattice
     so every block gains gap/2 clearance per side."""
     return (1.0 + gap) * (r * ROW_STEP + c * COL_STEP)
+
+
+@dataclass(frozen=True, eq=False)
+class Isometry3:
+    """Rigid motion of 3-space (here always a lifted planar isometry)."""
+
+    matrix: np.ndarray
+    offset: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _frozen(self.matrix, (3, 3)))
+        object.__setattr__(self, "offset", _frozen(self.offset, (3,)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Isometry3):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix) and np.array_equal(
+            self.offset, other.offset
+        )
+
+    def __hash__(self):
+        return hash(tuple(self.matrix.ravel()) + tuple(self.offset))
+
+
+def _frozen(a, shape, dtype=np.float64):
+    arr = np.array(a, dtype=dtype).reshape(shape)
+    arr.flags.writeable = False
+    return arr
 
 
 def _placement(k: int, r: int, c: int, gap: float) -> Isometry3:

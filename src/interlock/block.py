@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isometry import _R_CW
 from .mesh import TriMesh
 
 BLOCK_VERTICES = np.array(
@@ -58,6 +57,8 @@ BLOCK_TRIANGLES = (
 )
 
 BLOCK_CENTER_XY = np.array([1.0, 0.0])
+
+_R_CW = np.array([[0.0, 1.0], [-1.0, 0.0]])  # 90 degrees clockwise
 
 # Grid sides whose neighbors catch this block when it moves down, per
 # orientation.  These equal the white sides of the matching Truchet tile.

@@ -14,13 +14,19 @@ Nodes are 1-based linear cell indices.  Frame nodes carry self-loops
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SIDE_STEPS, Assembly, TruchetTiling, frame_mask, place_block, validate_tiling
-from .block import WHITE_SIDES
+from .assembly import (
+    Assembly,
+    TruchetTiling,
+    frame_mask,
+    lean_targets,
+    letters_from_grid,
+    place_block,
+    validate_tiling,
+)
 from .mesh import DEFAULT_TOL, aabb, overlap, translate
 
 DOWN = (0.0, 0.0, -1.0)
@@ -38,23 +44,19 @@ class BlockingGraph:
 
 
 def dbg_combinatorial(t: TruchetTiling) -> BlockingGraph:
-    """Arcs from each core cell to the two grid neighbors across its white
-    sides, plus frame self-loops.  Implicit direction: straight down."""
+    """Arcs from each core cell to the two grid neighbors it leans on, the
+    ones across its white sides (see lean_targets), plus frame self-loops.
+    Implicit direction: straight down."""
     if not validate_tiling(t):
         raise ValueError("invalid tiling: adjacent colors clash")
     m, n = t.rows, t.cols
-    # the linear steps to the two white-side neighbours, per orientation
-    steps = np.array(
-        [
-            [SIDE_STEPS[s][0] * n + SIDE_STEPS[s][1] for s in sorted(WHITE_SIDES[k])]
-            for k in range(4)
-        ]
-    )
-    is_frame = frame_mask(m, n)
-    frame = np.flatnonzero(is_frame) + 1
-    core = np.flatnonzero(~is_frame) + 1
-    targets = core[:, None] + steps[t.orientation[~is_frame]]
-    tails = np.concatenate([np.repeat(core, 2), frame]).tolist()
+    h, v = letters_from_grid(t.orientation)
+    core, h_target, v_target = lean_targets(m, n)
+    row, col = np.divmod(core, n)
+    inner = np.arange(len(core))
+    targets = np.column_stack([h_target[inner, h[row]], v_target[inner, v[col]]]) + 1
+    frame = np.flatnonzero(frame_mask(m, n)) + 1
+    tails = np.concatenate([np.repeat(core + 1, 2), frame]).tolist()
     heads = np.concatenate([targets.ravel(), frame]).tolist()
     return BlockingGraph(m * n, frozenset(zip(tails, heads)), DOWN, frozenset(frame.tolist()))
 
@@ -134,21 +136,3 @@ def dbg_geometric(a: Assembly, d, eps_scale: float = 0.01, tol: float = DEFAULT_
         a.frame,
     )
 
-
-def write_edge_list(g: BlockingGraph, path) -> None:
-    """One arc per line, "i j", 1-based, sorted."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i, j in sorted(g.arcs):
-            fh.write(f"{i} {j}\n")
-
-
-def write_graph_json(g: BlockingGraph, path) -> None:
-    payload = {
-        "nodes": g.n_nodes,
-        "direction": list(g.direction),
-        "frame": sorted(g.frame),
-        "arcs": [list(a) for a in sorted(g.arcs)],
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

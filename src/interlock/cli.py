@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +23,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_UNCONVERGED = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group: str = None
-    tiling_path: str = None
-    rows: int = None
-    cols: int = None
-    gap: float = 0.0
-    scale: tuple = (1.0, 1.0, 1.0)
-    tol: float = 1e-12
-    max_iter: int = 10**6
-    method: str = "iterate"
-    metric: str = "max_load"
-    top_k: int = 0
-    cap: int = 20
-    out: str = "interlock_out"
-    svg: bool = False
 
 
 def _parse_scale(text: str) -> tuple:
@@ -69,36 +49,36 @@ def load_tiling(path) -> assembly.TruchetTiling:
     return assembly.TruchetTiling(rows, cols, flat.reshape(rows, cols))
 
 
-def _resolve_tiling(cfg: RunConfig) -> assembly.TruchetTiling:
-    if (cfg.group is None) == (cfg.tiling_path is None):
+def _resolve_tiling(args: argparse.Namespace) -> assembly.TruchetTiling:
+    if (args.group is None) == (args.tiling_path is None):
         raise ValueError("exactly one of --group and --tiling is required")
-    if cfg.tiling_path is not None:
-        t = load_tiling(cfg.tiling_path)
+    if args.tiling_path is not None:
+        t = load_tiling(args.tiling_path)
     else:
-        if cfg.rows is None or cfg.cols is None:
+        if args.rows is None or args.cols is None:
             raise ValueError("--group needs --rows and --cols")
-        t = assembly.tiling_from_group(cfg.group, cfg.rows, cfg.cols)
+        t = assembly.tiling_from_group(args.group, args.rows, args.cols)
     if not assembly.validate_tiling(t):
         raise ValueError("invalid tiling: adjacent colors clash")
     return t
 
 
-def cmd_assemble(cfg: RunConfig) -> int:
-    t = _resolve_tiling(cfg)
-    a = assembly.build_assembly(t, gap=cfg.gap, scale=cfg.scale)
-    manifest = assembly.export_assembly(a, cfg.out)
-    print(f"wrote {len(manifest['blocks'])} blocks to {cfg.out}")
+def cmd_assemble(args: argparse.Namespace) -> int:
+    t = _resolve_tiling(args)
+    a = assembly.build_assembly(t, gap=args.gap, scale=args.scale)
+    manifest = assembly.export_assembly(a, args.out)
+    print(f"wrote {len(manifest['blocks'])} blocks to {args.out}")
     return EXIT_OK
 
 
-def cmd_flow(cfg: RunConfig) -> int:
-    t = _resolve_tiling(cfg)
+def cmd_flow(args: argparse.Namespace) -> int:
+    t = _resolve_tiling(args)
     A = flows.transfer_matrix(blocking.dbg_combinatorial(t))
     x = flows.initial_load(t)
-    if cfg.method == "closed_form":
+    if args.method == "closed_form":
         result = flows.closed_form(A, x)
     else:
-        result = flows.iterate(A, x, tol=cfg.tol, max_iter=cfg.max_iter)
+        result = flows.iterate(A, x, tol=args.tol, max_iter=args.max_iter)
     if not result.converged:
         print(
             f"flow did not converge after {result.iterations} iterations; "
@@ -106,40 +86,40 @@ def cmd_flow(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_UNCONVERGED
-    out = Path(cfg.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     flows.write_flow_csv(result, t.rows, t.cols, out / "flow.csv")
     flows.write_flow_json(result, t.rows, t.cols, out / "flow.json")
-    if cfg.svg:
+    if args.svg:
         flows.write_flow_svg(result, t.rows, t.cols, out / "flow.svg")
     print(f"total={result.total_frame_mass():.6f}")
     return EXIT_OK
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    if cfg.rows is None or cfg.cols is None:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.rows is None or args.cols is None:
         raise ValueError("enumerate needs --rows and --cols")
-    exponent = cfg.rows + cfg.cols - 3
-    if exponent > cfg.cap:
+    exponent = args.rows + args.cols - 3
+    if exponent > args.cap:
         print(
-            f"m+n-3 = {exponent} exceeds cap {cfg.cap}; "
+            f"m+n-3 = {exponent} exceeds cap {args.cap}; "
             f"rerun with --cap {exponent} to proceed",
             file=sys.stderr,
         )
         return EXIT_INVALID
-    if cfg.top_k < 0:
+    if args.top_k < 0:
         raise ValueError("--top-k must be nonnegative")
-    assembly.check_gap_scale(cfg.gap, cfg.scale)
+    assembly.check_gap_scale(args.gap, args.scale)
     t0 = time.perf_counter()
-    cands = enumeration.enumerate_tilings(cfg.rows, cfg.cols)
-    ranked = enumeration.screen(cands, cfg.metric)
+    cands = enumeration.enumerate_tilings(args.rows, args.cols)
+    ranked = enumeration.screen(cands, args.metric)
     wall = time.perf_counter() - t0
-    out = Path(cfg.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     enumeration.write_ranking_csv(ranked, out / "ranking.csv")
-    enumeration.write_ranking_json(ranked, cfg.rows, cfg.cols, cfg.metric, out / "ranking.json")
-    if cfg.top_k > 0:
-        enumeration.export_top_k(ranked, cfg.top_k, out, gap=cfg.gap, scale=cfg.scale)
+    enumeration.write_ranking_json(ranked, args.rows, args.cols, args.metric, out / "ranking.json")
+    if args.top_k > 0:
+        enumeration.export_top_k(ranked, args.top_k, out, gap=args.gap, scale=args.scale)
     print(f"candidates={len(ranked)} wall_clock={wall:.2f}s")
     return EXIT_OK
 
@@ -183,28 +163,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for field in vars(cfg):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    return cfg
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has already printed its usage or error message
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
     handlers = {
         "assemble": cmd_assemble,
         "flow": cmd_flow,
         "enumerate": cmd_enumerate,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except flows.FlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCONVERGED

@@ -30,12 +30,20 @@ from functools import cached_property
 import numpy as np
 
 from . import flows
-from .assembly import EDGE_OK, TruchetTiling, build_assembly, export_assembly, validate_tiling
+from .assembly import (
+    ORIENT_FROM_VH,
+    TruchetTiling,
+    build_assembly,
+    export_assembly,
+    grid_from_letters,
+    lean_targets,
+    letters_from_grid,
+    validate_tiling,
+)
+from .block import WHITE_SIDES
 
 DEDUP_GROUP = "letter-complement group of order 8 (free action), not dihedral"
 
-# orientation = ORIENT_FROM_VH[v, h]; v: 0=N 1=S, h: 0=W 1=E
-ORIENT_FROM_VH = np.array([[0, 1], [3, 2]], dtype=np.int64)
 ORIENT_DIGITS = (ORIENT_FROM_VH + ord("0")).astype(np.uint8)
 
 METRICS = ("max_load", "cv", "loaded_cells")
@@ -111,23 +119,6 @@ class Ranking(Sequence):
         return strings, {k: c.metrics[k][order] for k in METRICS}
 
 
-def grid_from_letters(h_bits, v_bits) -> np.ndarray:
-    """Orientation grid of one tiling from (m,) and (n,) letters, or the
-    (B, m, n) grids of a batch from (B, m) and (B, n) letters."""
-    h = np.asarray(h_bits, dtype=np.int64)
-    v = np.asarray(v_bits, dtype=np.int64)
-    return ORIENT_FROM_VH[v[..., None, :], h[..., :, None]]
-
-
-def letters_from_grid(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row letters (0=W, 1=E) and column letters (0=N, 1=S) of a valid
-    orientation grid."""
-    o = np.asarray(o)
-    h = np.isin(o[:, 0], (1, 2)).astype(np.int64)
-    v = np.isin(o[0, :], (2, 3)).astype(np.int64)
-    return h, v
-
-
 def canonicalize(t: TruchetTiling) -> TruchetTiling:
     """The class representative: complement letters until the first row
     letter is W and the first two column letters are N."""
@@ -164,7 +155,13 @@ def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
     cells = m * n
     if cells > 12:
         raise ValueError("brute force limited to m*n <= 12")
-    h_ok, v_ok = EDGE_OK
+    # across the side a cell shares with its east (h_ok) or south (v_ok)
+    # neighbour, exactly one facing side must be white
+    h_ok, v_ok = (
+        np.array([[(s in WHITE_SIDES[a]) != (t in WHITE_SIDES[b]) for b in range(4)]
+                  for a in range(4)])
+        for s, t in (("E", "W"), ("S", "N"))
+    )
     total = 4**cells
     chunk = 1 << 20
     seen = {}
@@ -192,9 +189,8 @@ def evaluate(c: CandidateSet, chunk: int = 1024) -> CandidateSet:
     """Frame loads and metrics for every candidate.
 
     The absorbing chain (I - Q^T) y = 1 is solved on the core densely,
-    with the arcs read off the letters: a core cell leans on the
-    neighbour west (row letter W) or east (E) and north (N) or south (S),
-    with weight 1/2 each.  A frame cell has one core neighbour, so its
+    with the arcs read off the letters by `lean_targets`, weight 1/2 each.
+    A frame cell has one core neighbour, so its
     load is half the outflow y of that neighbour if it leans on the cell.
     Frame cells emit no arcs, so one solve per distinct set of core
     letters h[1:m-1], v[1:n-1] serves every candidate that shares it.
@@ -207,18 +203,15 @@ def evaluate(c: CandidateSet, chunk: int = 1024) -> CandidateSet:
     results are bit-identical for any `chunk`.
     """
     m, n = c.rows, c.cols
-    cells = np.arange(m * n).reshape(m, n)
-    core = cells[1:-1, 1:-1].ravel()
+    core, h_target, v_target = lean_targets(m, n)
+    cells = np.arange(m * n)
     frame = np.setdiff1d(cells, core)
     k = len(core)
-    is_core = np.isin(cells.ravel(), core)
+    is_core = np.isin(cells, core)
     slot = np.empty(m * n, dtype=np.int64)
     slot[core] = np.arange(k)
     slot[frame] = np.arange(len(frame))
     row, col = np.divmod(core, n)
-    # the cell a core cell leans on, per core cell (k,) and letter (2,)
-    h_target = core[:, None] + np.array([-1, 1])
-    v_target = core[:, None] + np.array([-n, n])
     inner = np.arange(k)
 
     # one byte string per candidate, its core letters packed 8 to a byte
@@ -255,7 +248,6 @@ def evaluate(c: CandidateSet, chunk: int = 1024) -> CandidateSet:
     def solve(system):
         return np.linalg.solve(system, ones[: len(system)])
 
-    handed = 0  # for a run report: of len(starts) chunks, those the worker solved
     pool = None
     if len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -269,7 +261,6 @@ def evaluate(c: CandidateSet, chunk: int = 1024) -> CandidateSet:
                 break
             # the worker runs nothing but the solve, which releases the GIL
             future = pool.submit(solve, system)
-            handed += 1
             system2, targets2 = assemble(j + 1)
             y2 = solve(system2)
             scatter(j, targets, future.result())

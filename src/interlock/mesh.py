@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .isometry import Isometry3
 
 DEFAULT_TOL = 1e-9
 _CHAIN_DECIMALS = 9
@@ -166,10 +165,6 @@ def scale(m: TriMesh, a: float, b: float, c: float) -> TriMesh:
     if a <= 0.0 or b <= 0.0 or c <= 0.0:
         raise ValueError("scale factors must be positive")
     return TriMesh(m.vertices * np.array([a, b, c]), m.triangles)
-
-
-def apply_isometry(m: TriMesh, iso: Isometry3) -> TriMesh:
-    return TriMesh(m.vertices @ iso.matrix.T + iso.offset, m.triangles)
 
 
 def aabb(m: TriMesh) -> tuple[np.ndarray, np.ndarray]:

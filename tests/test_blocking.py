@@ -1,7 +1,6 @@
 """Unit tests for directional blocking graphs."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from interlock import blocking
 from interlock.assembly import (
-    SIDE_STEPS,
     TruchetTiling,
     build_assembly,
     core_indices,
@@ -20,16 +18,13 @@ from interlock.assembly import (
     validate_tiling,
 )
 from interlock.block import WHITE_SIDES
-from interlock.blocking import (
-    PoseTable,
-    dbg_combinatorial,
-    dbg_geometric,
-    write_edge_list,
-    write_graph_json,
-)
+from interlock.blocking import PoseTable, dbg_combinatorial, dbg_geometric
 from interlock.enumeration import grid_from_letters
 
 DOWN = (0.0, 0.0, -1.0)
+
+# Grid-compass deltas in (row, col).
+SIDE_STEPS = {"N": (-1, 0), "S": (1, 0), "W": (0, -1), "E": (0, 1)}
 
 
 def test_p1_graph_shape():
@@ -195,23 +190,3 @@ def test_geometric_rejects_bad_inputs():
     with pytest.raises(ValueError):
         dbg_geometric(gapped, (0.0, 0.0, -1.0))
 
-
-def test_edge_list_format(tmp_path):
-    t = tiling_from_group("p1", 3, 3)
-    g = dbg_combinatorial(t)
-    path = tmp_path / "arcs.txt"
-    write_edge_list(g, path)
-    lines = path.read_text().splitlines()
-    assert lines == [f"{i} {j}" for i, j in sorted(g.arcs)]
-
-
-def test_graph_json_roundtrip(tmp_path):
-    t = tiling_from_group("p4", 3, 3)
-    g = dbg_combinatorial(t)
-    path = tmp_path / "graph.json"
-    write_graph_json(g, path)
-    payload = json.loads(path.read_text())
-    assert payload["nodes"] == 9
-    assert payload["frame"] == sorted(g.frame)
-    assert {tuple(a) for a in payload["arcs"]} == g.arcs
-    assert payload["direction"] == [0.0, 0.0, -1.0]

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from interlock import mesh
 from interlock.assembly import build_assembly, place_block, tiling_from_group
-from interlock.isometry import Isometry2, extend3
 from interlock.mesh import (
     TriMesh,
     _points_in_mesh,
     aabb,
-    apply_isometry,
     cross_section_area,
     euler_characteristic,
     mesh_distance,
@@ -130,8 +128,9 @@ def test_translate_moves_aabb():
 
 
 def test_volume_invariant_under_isometry():
-    iso = extend3(Isometry2(_R_CW, np.array([2.0, -1.0])))
-    m = apply_isometry(unit_cube(), iso)
+    cube = unit_cube()
+    xy = cube.vertices[:, :2] @ _R_CW.T + np.array([2.0, -1.0])
+    m = TriMesh(np.column_stack([xy, cube.vertices[:, 2]]), cube.triangles)
     validate_mesh(m)
     assert signed_volume(m) == pytest.approx(1.0, abs=1e-12)
 
