@@ -22,97 +22,6 @@ T_EPS = 1e-12
 # triangle-triangle proper crossing
 
 
-def _tri_cross_one(p, q, tol):
-    """Proper crossing test for one triangle pair.
-
-    True iff each triangle strictly straddles the other's plane by more
-    than ``tol`` and the two intervals cut on the plane-intersection line
-    overlap with positive length.  Touching or coplanar configurations
-    return False.
-    """
-    n2x = (q[1, 1] - q[0, 1]) * (q[2, 2] - q[0, 2]) - (q[1, 2] - q[0, 2]) * (q[2, 1] - q[0, 1])
-    n2y = (q[1, 2] - q[0, 2]) * (q[2, 0] - q[0, 0]) - (q[1, 0] - q[0, 0]) * (q[2, 2] - q[0, 2])
-    n2z = (q[1, 0] - q[0, 0]) * (q[2, 1] - q[0, 1]) - (q[1, 1] - q[0, 1]) * (q[2, 0] - q[0, 0])
-    l2 = (n2x * n2x + n2y * n2y + n2z * n2z) ** 0.5
-    if l2 == 0.0:
-        return False
-
-    d1 = np.empty(3)
-    for i in range(3):
-        d1[i] = (
-            n2x * (p[i, 0] - q[0, 0]) + n2y * (p[i, 1] - q[0, 1]) + n2z * (p[i, 2] - q[0, 2])
-        ) / l2
-    if not (min(d1[0], d1[1], d1[2]) < -tol and max(d1[0], d1[1], d1[2]) > tol):
-        return False
-
-    n1x = (p[1, 1] - p[0, 1]) * (p[2, 2] - p[0, 2]) - (p[1, 2] - p[0, 2]) * (p[2, 1] - p[0, 1])
-    n1y = (p[1, 2] - p[0, 2]) * (p[2, 0] - p[0, 0]) - (p[1, 0] - p[0, 0]) * (p[2, 2] - p[0, 2])
-    n1z = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0])
-    l1 = (n1x * n1x + n1y * n1y + n1z * n1z) ** 0.5
-    if l1 == 0.0:
-        return False
-
-    d2 = np.empty(3)
-    for i in range(3):
-        d2[i] = (
-            n1x * (q[i, 0] - p[0, 0]) + n1y * (q[i, 1] - p[0, 1]) + n1z * (q[i, 2] - p[0, 2])
-        ) / l1
-    if not (min(d2[0], d2[1], d2[2]) < -tol and max(d2[0], d2[1], d2[2]) > tol):
-        return False
-
-    # direction of the plane-plane intersection line
-    dx = n1y * n2z - n1z * n2y
-    dy = n1z * n2x - n1x * n2z
-    dz = n1x * n2y - n1y * n2x
-    if dx * dx + dy * dy + dz * dz == 0.0:
-        return False
-
-    def interval(tri, dist):
-        # interval endpoints come from edges with strictly opposite signs
-        # plus vertices sitting within tol of the plane
-        tmin = np.inf
-        tmax = -np.inf
-        count = 0
-        p0 = dx * tri[0, 0] + dy * tri[0, 1] + dz * tri[0, 2]
-        p1 = dx * tri[1, 0] + dy * tri[1, 1] + dz * tri[1, 2]
-        p2 = dx * tri[2, 0] + dy * tri[2, 1] + dz * tri[2, 2]
-        pr = np.empty(3)
-        pr[0] = p0
-        pr[1] = p1
-        pr[2] = p2
-        for i in range(3):
-            j = (i + 1) % 3
-            if dist[i] * dist[j] < 0.0:
-                t = pr[i] + (pr[j] - pr[i]) * dist[i] / (dist[i] - dist[j])
-                count += 1
-                if t < tmin:
-                    tmin = t
-                if t > tmax:
-                    tmax = t
-        for i in range(3):
-            if abs(dist[i]) <= tol:
-                count += 1
-                if pr[i] < tmin:
-                    tmin = pr[i]
-                if pr[i] > tmax:
-                    tmax = pr[i]
-        if count < 2:
-            return np.inf, -np.inf
-        return tmin, tmax
-
-    pmin, pmax = interval(p, d1)
-    if pmin > pmax:
-        return False
-    qmin, qmax = interval(q, d2)
-    if qmin > qmax:
-        return False
-    # scale the margin by the unnormalized line direction so the overlap
-    # must have positive length in world units; a sliding point-touch
-    # between coplanar contact regions then stays rejected
-    line_len = (dx * dx + dy * dy + dz * dz) ** 0.5
-    return min(pmax, qmax) - max(pmin, qmin) > tol * line_len
-
-
 def tri_cross_any(ta, tb, tol):
     """True iff any triangle of ``ta`` properly crosses any of ``tb``.
 
@@ -122,8 +31,6 @@ def tri_cross_any(ta, tb, tol):
     ta = np.ascontiguousarray(ta, dtype=np.float64)
     tb = np.ascontiguousarray(tb, dtype=np.float64)
     tol = float(tol)
-    if ta.shape[0] == 0 or tb.shape[0] == 0:
-        return False
     n2 = np.cross(tb[:, 1] - tb[:, 0], tb[:, 2] - tb[:, 0])
     l2 = np.linalg.norm(n2, axis=1)
     n1 = np.cross(ta[:, 1] - ta[:, 0], ta[:, 2] - ta[:, 0])
@@ -142,10 +49,52 @@ def tri_cross_any(ta, tb, tol):
         - np.einsum("ix,ix->i", ta[:, 0], n1)[:, None, None]
     ) / safe1[:, None, None]
     m2 = (d2.min(axis=2) < -tol) & (d2.max(axis=2) > tol)
-    for i, j in zip(*np.nonzero(ok & m1 & m2)):
-        if _tri_cross_one(ta[i], tb[j], tol):
-            return True
-    return False
+    i, j = np.nonzero(ok & m1 & m2)
+    # most calls leave no survivor; skip the exact test's fixed cost then
+    return i.size > 0 and bool(_crosses(ta[i], tb[j], n1[i], n2[j], tol).any())
+
+
+def _dot(rows, n):
+    # the (S, k, 3) rows dotted with their pair's (S, 3) n, summed x, y, z
+    n = n[:, None]
+    return n[..., 0] * rows[..., 0] + n[..., 1] * rows[..., 1] + n[..., 2] * rows[..., 2]
+
+
+def _norm(n):
+    return (n[:, 0] * n[:, 0] + n[:, 1] * n[:, 1] + n[:, 2] * n[:, 2]) ** 0.5
+
+
+def _crosses(p, q, n1, n2, tol):
+    """The exact proper-crossing test on (S, 3, 3) triangle pairs p[s],
+    q[s] with nonzero normals n1[s], n2[s], as an (S,) bool array.
+
+    True where each triangle strictly straddles the other's plane by more
+    than ``tol`` and the two intervals cut on the plane-intersection line
+    overlap with positive length.  Touching or coplanar configurations
+    give False.
+    """
+    # direction of the plane-plane intersection line
+    line = np.cross(n1, n2)
+    line_len = _norm(line)
+    # crossing so far, and the intersection [lo, hi] of the two intervals
+    crossing, lo, hi = line_len != 0.0, -np.inf, np.inf
+    for tri, other, n in ((p, q, n2), (q, p, n1)):
+        dist = _dot(tri - other[:, None, 0], n) / _norm(n)[:, None]
+        crossing &= (dist.min(axis=1) < -tol) & (dist.max(axis=1) > tol)
+        # interval endpoints come from edges with strictly opposite signs
+        # plus vertices sitting within tol of the plane; a straddling
+        # triangle has at least two
+        pr = _dot(tri, line)
+        d_next, pr_next = dist[:, [1, 2, 0]], pr[:, [1, 2, 0]]
+        cut = dist * d_next < 0.0
+        t = pr + (pr_next - pr) * dist / np.where(cut, dist - d_next, 1.0)
+        ends, use = np.hstack([t, pr]), np.hstack([cut, np.abs(dist) <= tol])
+        lo = np.maximum(lo, np.fmin.reduce(np.where(use, ends, np.inf), axis=1))
+        hi = np.minimum(hi, np.fmax.reduce(np.where(use, ends, -np.inf), axis=1))
+    # scale the margin by the unnormalized line direction so the overlap
+    # must have positive length in world units; a sliding point-touch
+    # between coplanar contact regions then stays rejected
+    return crossing & (hi - lo > tol * line_len)
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ def lean_targets(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return core, core[:, None] + np.array([-1, 1]), core[:, None] + np.array([-n, n])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruchetTiling:
-    """An m×n grid of tile orientations 0..3."""
+    """An m×n grid of tile orientations 0..3, compared by value."""
 
     rows: int
     cols: int
@@ -81,6 +81,15 @@ class TruchetTiling:
             raise ValueError("orientations must be 0..3")
         o.flags.writeable = False
         object.__setattr__(self, "orientation", o)
+
+    def __eq__(self, other):
+        if not isinstance(other, TruchetTiling):
+            return NotImplemented
+        same = (self.rows, self.cols, self.group) == (other.rows, other.cols, other.group)
+        return same and np.array_equal(self.orientation, other.orientation)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.group, self.orientation.tobytes()))
 
     def linear_index(self, r: int, c: int) -> int:
         """1-based linear index of cell (r, c), both 1-based."""
@@ -209,13 +218,19 @@ def _placement(k: int, r: int, c: int, gap: float) -> Isometry3:
     return Isometry3(matrix, np.array([shift[0], shift[1], 0.0]))
 
 
-def check_gap_scale(gap: float, scale) -> None:
-    """Raise ValueError unless the gap is finite and nonnegative and the
-    three scale factors are finite and positive."""
+def check_gap_scale(gap: float, scale, rows: int, cols: int) -> None:
+    """Raise ValueError unless the gap is finite and nonnegative, the scale
+    factors are finite and positive, and the block corners of a rows x cols
+    assembly fit STL's float32: a block spans [0, 2] x [-1, 1] x [0, 1] from
+    its cell, and no cell is over (1 + gap) * (rows + cols) out in x or y."""
     if not 0.0 <= gap < np.inf:
         raise ValueError("gap must be finite and nonnegative")
     if not all(0.0 < float(s) < np.inf for s in scale):
         raise ValueError("scale factors must be finite and positive")
+    limit = float(np.finfo(np.float32).max)
+    reach = (1.0 + gap) * (rows + cols) + 2.0
+    if not all(float(s) * r < limit for s, r in zip(scale, (reach, reach, 1.0))):
+        raise ValueError("gap and scale put block corners beyond the float32 range of STL")
 
 
 def place_block(k: int, r: int, c: int, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> TriMesh:
@@ -230,7 +245,7 @@ def build_assembly(t: TruchetTiling, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) ->
     """Place one oriented block per cell on the diamond lattice."""
     if not validate_tiling(t):
         raise ValueError("invalid tiling: adjacent colors clash")
-    check_gap_scale(gap, scale)
+    check_gap_scale(gap, scale, t.rows, t.cols)
     a, b, c = (float(s) for s in scale)
     blocks = []
     for r in range(1, t.rows + 1):

@@ -109,7 +109,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     if args.top_k < 0:
         raise ValueError("--top-k must be nonnegative")
-    assembly.check_gap_scale(args.gap, args.scale)
+    assembly.check_gap_scale(args.gap, args.scale, args.rows, args.cols)
     t0 = time.perf_counter()
     cands = enumeration.enumerate_tilings(args.rows, args.cols)
     ranked = enumeration.screen(cands, args.metric)

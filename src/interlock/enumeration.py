@@ -164,7 +164,7 @@ def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
     )
     total = 4**cells
     chunk = 1 << 20
-    seen = {}
+    seen = set()
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
         digits = np.empty((cells, len(codes)), dtype=np.int64)
@@ -179,10 +179,8 @@ def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
                 if r + 1 < m:
                     ok &= v_ok[digits[pos], digits[pos + n]]
         for col in np.nonzero(ok)[0]:
-            o = digits[:, col].reshape(m, n)
-            rep = canonicalize(TruchetTiling(m, n, o))
-            seen[rep.orientation.tobytes()] = rep
-    return sorted(seen.values(), key=lambda t: tuple(t.orientation.ravel()))
+            seen.add(canonicalize(TruchetTiling(m, n, digits[:, col].reshape(m, n))))
+    return sorted(seen, key=lambda t: tuple(t.orientation.ravel()))
 
 
 def evaluate(c: CandidateSet, chunk: int = 1024) -> CandidateSet:

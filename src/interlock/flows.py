@@ -70,17 +70,20 @@ class FlowResult:
 def transfer_matrix(g: BlockingGraph) -> TransferMatrix:
     """Build A from a blocking graph: 1/2 per core arc, 1 on frame
     diagonals.  Core nodes must have exactly two outgoing arcs.  The
-    lowest-numbered node that breaks a rule is the one reported."""
+    lowest-numbered node that breaks a rule is the one reported.  Arcs
+    must be strictly increasing by (tail, head), as the builders leave them."""
     import scipy.sparse as sp
 
     n = g.n_nodes
-    arcs = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2) - 1
-    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    arcs = g.arc_array - 1
     tails, heads = arcs[:, 0], arcs[:, 1]
     frame = np.array(list(g.frame), dtype=np.int64) - 1
     nodes = np.concatenate([arcs.ravel(), frame])
     if nodes.size and not (0 <= nodes.min() and nodes.max() < n):
         raise ValueError(f"graph nodes must be numbered 1..{n}")
+    # nodes are in range, so this key is exact and orders arcs as (tail, head)
+    if np.any(np.diff(tails * n + heads) <= 0):
+        raise ValueError("arcs must be sorted by (tail, head) without repeats")
     is_frame = np.zeros(n, dtype=bool)
     is_frame[frame] = True
     degree = np.bincount(tails, minlength=n)

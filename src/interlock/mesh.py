@@ -245,8 +245,8 @@ def overlap(a: TriMesh, b: TriMesh, tol: float = DEFAULT_TOL) -> bool:
     grazing-boundary overlaps such as coincident copies.  Exactly-touching
     faces do not count.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
     amin, amax = aabb(a)
     bmin, bmax = aabb(b)
     if np.any(amin > bmax + tol) or np.any(bmin > amax + tol):

@@ -154,6 +154,18 @@ def test_rotating_four_times_is_identity():
     assert np.array_equal(r.orientation, t.orientation)
 
 
+def test_tilings_compare_and_hash_by_value():
+    t = TruchetTiling(5, 4, tiling_from_group("pg", 5, 4).orientation)
+    r = t
+    for _ in range(4):
+        r = rotate_tiling(r)
+    assert r is not t and r == t and r in [t] and hash(r) == hash(t)
+    assert len({t, r, rotate_tiling(t)}) == 2
+    assert rotate_tiling(t) != t
+    # the group is part of the value
+    assert tiling_from_group("pg", 5, 4) != t
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=3), st.booleans(), st.booleans())
 def test_rotation_conjugates_orientation(k, flip_r, flip_c):

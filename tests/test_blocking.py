@@ -20,6 +20,7 @@ from interlock.assembly import (
 from interlock.block import WHITE_SIDES
 from interlock.blocking import PoseTable, dbg_combinatorial, dbg_geometric
 from interlock.enumeration import grid_from_letters
+from interlock.mesh import overlap, translate
 
 DOWN = (0.0, 0.0, -1.0)
 
@@ -107,6 +108,18 @@ def test_geometric_matches_combinatorial_small():
     assert geo.arcs == dbg_combinatorial(t).arcs
 
 
+def test_graph_is_a_sorted_read_only_arc_array_compared_by_value():
+    t = tiling_from_group("p4", 5, 6)
+    g, geo = dbg_combinatorial(t), dbg_geometric(build_assembly(t), DOWN)
+    arcs = g.arc_array
+    assert arcs.dtype == np.int64 and arcs.shape == (2 * 12 + 18, 2)
+    assert not arcs.flags.writeable
+    assert list(map(tuple, arcs.tolist())) == sorted(g.arcs)
+    assert geo == g and hash(geo) == hash(g) and geo is not g
+    assert g != blocking.BlockingGraph(g.n_nodes, arcs, (0.0, 0.0, 1.0), g.frame)
+    assert g != blocking.BlockingGraph(g.n_nodes, arcs[:-1], g.direction, g.frame)
+
+
 def _realised_pairs() -> dict:
     """(dr, dc) -> the (k_i, k_j) orientation pairs that cells (r, c) and
     (r + dr, c + dc) take in some valid tiling.  Every valid tiling is a
@@ -175,6 +188,31 @@ def test_direction_is_normalized_in_output():
     a = build_assembly(t)
     g = dbg_geometric(a, (0.0, 0.0, -2.5))
     assert np.allclose(g.direction, (0.0, 0.0, -1.0))
+
+
+def test_direction_whose_norm_overflows_still_normalises():
+    huge = PoseTable((1e300, 1e300, -1e300), 0.01, (1.0, 1.0, 1.0)).direction
+    assert np.allclose(huge, np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, block: dbg_geometric(a, (0.0, 0.0, -np.inf)),
+        lambda a, block: dbg_geometric(a, (0.0, np.nan, -1.0)),
+        lambda a, block: dbg_geometric(a, DOWN, tol=np.inf),
+        lambda a, block: dbg_geometric(a, DOWN, tol=np.nan),
+        lambda a, block: dbg_geometric(a, DOWN, tol=-1e-9),
+        lambda a, block: overlap(block, translate(block, (0.5, 0.0, 0.0)), np.nan),
+        lambda a, block: overlap(block, translate(block, (0.5, 0.0, 0.0)), np.inf),
+    ],
+    ids=["direction-inf", "direction-nan", "tol-inf", "tol-nan", "tol-negative",
+         "overlap-tol-nan", "overlap-tol-inf"],
+)
+def test_geometry_rejects_non_finite_inputs(call):
+    a = build_assembly(tiling_from_group("p1", 3, 3))
+    with pytest.raises(ValueError, match="must be finite"):
+        call(a, a.blocks[0][2])
 
 
 def test_geometric_rejects_bad_inputs():

@@ -1,14 +1,19 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interlock
 from interlock import assembly
@@ -191,8 +196,15 @@ def test_malformed_tiling_json_is_invalid(tmp_path, capsys, text):
         ["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--gap", "nan"],
         ["assemble", "--group", "p4", "--rows", "3", "--cols", "3", "--scale", "inf"],
         ["enumerate", "--rows", "3", "--cols", "3", "--top-k", "-5"],
+        # finite, but block corners overflow float32 (or float64) on export
+        ["assemble", "--group", "p1", "--rows", "3", "--cols", "3", "--gap", "1e38"],
+        ["assemble", "--group", "p1", "--rows", "3", "--cols", "3", "--scale", "1e39"],
+        ["assemble", "--group", "p1", "--rows", "3", "--cols", "3", "--gap", "1e308"],
+        ["enumerate", "--rows", "3", "--cols", "3", "--top-k", "1", "--gap", "1e38"],
     ],
-    ids=["tol-nan", "tol-inf", "gap-nan", "scale-inf", "top-k-negative"],
+    ids=["tol-nan", "tol-inf", "gap-nan", "scale-inf", "top-k-negative",
+         "gap-overflows-float32", "scale-overflows-float32", "gap-overflows-float64",
+         "enumerate-gap-overflows-float32"],
 )
 def test_out_of_range_numbers_are_invalid(tmp_path, capsys, argv):
     code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "x"))
@@ -307,3 +319,45 @@ def test_enumerate_rankings_are_byte_identical_to_golden(tmp_path, capsys, metri
         for name in ("ranking.csv", "ranking.json")
     )
     assert digests == GOLDEN_RANKINGS[metric]
+
+
+_SIZES = st.one_of(st.integers(3, 6), st.integers(-1, 2)).map(str)
+_FLOATS = st.one_of(
+    st.floats(min_value=0.01, max_value=2.0).map(repr),
+    st.sampled_from(["5e-324", "1e-300", "1e38", "1e39", "1e308", "inf", "-inf", "nan", "x"]),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["assemble", "flow", "enumerate"]))
+    argv = [command, "--rows", draw(_SIZES), "--cols", draw(_SIZES)]
+    if command != "enumerate":
+        argv += ["--group", draw(st.sampled_from(["p1", "pg", "p4"]))]
+    if command == "flow":
+        argv += [f"--method={draw(st.sampled_from(['iterate', 'closed_form']))}",
+                 f"--tol={draw(_FLOATS)}",
+                 f"--max-iter={draw(st.sampled_from(['-1', '0', '1', '60', '2000', '1e3']))}"]
+        argv += draw(st.sampled_from([[], ["--svg"]]))
+    else:
+        scale = ",".join(draw(st.lists(_FLOATS, min_size=1, max_size=3)))
+        argv += [f"--gap={draw(_FLOATS)}", f"--scale={scale}"]
+    if command == "enumerate":
+        argv += [f"--top-k={draw(st.sampled_from(['-1', '0', '1', '2']))}"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+def test_fuzzed_commands_exit_cleanly(argv):
+    """Every input either works or exits 2, 3 or 4 with a message, never
+    with a traceback, and output is written only on success."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        assert out.exists() == (code == 0)

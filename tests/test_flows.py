@@ -27,7 +27,7 @@ from interlock.flows import (
 
 
 def _graph(n, arcs, frame, direction=(0.0, 0.0, -1.0)):
-    return BlockingGraph(n, frozenset(arcs), direction, frozenset(frame))
+    return BlockingGraph(n, sorted(arcs), direction, frozenset(frame))
 
 
 def _wallpaper_result(name, m, n, method=closed_form):
@@ -89,6 +89,19 @@ def test_transfer_matrix_rejects_bad_core_degree():
     g = _graph(4, {(1, 2), (1, 3), (1, 4), (2, 2), (3, 3), (4, 4)}, {2, 3, 4})
     with pytest.raises(ValueError, match="core node 1 has out-arcs \\[2, 3, 4\\]$"):
         transfer_matrix(g)
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [[(1, 3), (1, 2), (2, 2), (3, 3)], [(2, 2), (1, 2), (1, 3), (3, 3)],
+     [(1, 2), (1, 3), (2, 2), (2, 2), (3, 3)]],
+    ids=["heads-unsorted", "tails-unsorted", "repeated"],
+)
+def test_transfer_matrix_rejects_unsorted_or_repeated_arcs(arcs):
+    g = BlockingGraph(3, arcs, (0.0, 0.0, -1.0), frozenset({2, 3}))
+    with pytest.raises(ValueError, match="sorted by \\(tail, head\\) without repeats"):
+        transfer_matrix(g)
+    assert transfer_matrix(BlockingGraph(3, sorted(set(arcs)), g.direction, g.frame)).n == 3
 
 
 def test_transfer_matrix_rejects_nodes_outside_the_graph():
