@@ -23,7 +23,6 @@ from .block import VersatileBlock, oriented_block, versatile_block
 from .blocking import BlockingGraph, dbg_combinatorial, dbg_geometric
 from .enumeration import (
     CandidateSet,
-    brute_force_tilings,
     canonicalize,
     enumerate_tilings,
     screen,
@@ -66,7 +65,6 @@ __all__ = [
     "TriMesh",
     "TruchetTiling",
     "VersatileBlock",
-    "brute_force_tilings",
     "build_assembly",
     "canonicalize",
     "closed_form",

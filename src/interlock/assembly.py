@@ -220,17 +220,20 @@ def _placement(k: int, r: int, c: int, gap: float) -> Isometry3:
 
 def check_gap_scale(gap: float, scale, rows: int, cols: int) -> None:
     """Raise ValueError unless the gap is finite and nonnegative, the scale
-    factors are finite and positive, and the block corners of a rows x cols
-    assembly fit STL's float32: a block spans [0, 2] x [-1, 1] x [0, 1] from
-    its cell, and no cell is over (1 + gap) * (rows + cols) out in x or y."""
+    factors are finite and positive, and STL's float32 keeps the shape of
+    every block of a rows x cols assembly: a block spans [0, 2] x [-1, 1] x
+    [0, 1] from its cell, no cell is over (1 + gap) * (rows + cols) out in x
+    or y, and on each axis the farthest corner must be below the float32
+    maximum with a float32 spacing of at most 1/8 of the scale factor."""
     if not 0.0 <= gap < np.inf:
         raise ValueError("gap must be finite and nonnegative")
     if not all(0.0 < float(s) < np.inf for s in scale):
         raise ValueError("scale factors must be finite and positive")
     limit = float(np.finfo(np.float32).max)
     reach = (1.0 + gap) * (rows + cols) + 2.0
-    if not all(float(s) * r < limit for s, r in zip(scale, (reach, reach, 1.0))):
-        raise ValueError("gap and scale put block corners beyond the float32 range of STL")
+    for s, r in zip(map(float, scale), (reach, reach, 1.0)):
+        if not (s * r < limit and np.spacing(np.float32(s * r)) <= s / 8):
+            raise ValueError("gap and scale put block corners past what STL's float32 resolves")
 
 
 def place_block(k: int, r: int, c: int, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> TriMesh:

@@ -12,8 +12,9 @@ which is the published count; it is NOT the rotate/mirror dihedral group
 letter W and first two column letters N, is the lexicographically
 smallest orientation grid in its class.
 
-The tests cross-check the letter enumeration against `brute_force_tilings`,
-a scan of all 4^(m*n) orientation grids, on small grids.
+The tests cross-check the letter enumeration on small grids against a
+scan of all 4^(m*n) orientation grids, `brute_force_tilings` in
+`tests/oracles.py`.
 
 Candidates travel as arrays of row and column letters; TruchetTiling
 objects are built only when a caller indexes one, such as the top-k
@@ -40,7 +41,6 @@ from .assembly import (
     letters_from_grid,
     validate_tiling,
 )
-from .block import WHITE_SIDES
 
 DEDUP_GROUP = "letter-complement group of order 8 (free action), not dihedral"
 
@@ -147,40 +147,6 @@ def enumerate_tilings(m: int, n: int) -> CandidateSet:
     h[:, 1:] = (idx >> np.arange(m - 2, -1, -1)) & 1
     v[:, 2:] = (idx >> np.arange(m + n - 4, m - 2, -1)) & 1
     return CandidateSet(m, n, h, v)
-
-
-def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
-    """Scan all 4^(m*n) orientation grids with the per-edge rule, then
-    canonicalize and dedup.  Oracle for enumerate_tilings; m*n <= 12."""
-    cells = m * n
-    if cells > 12:
-        raise ValueError("brute force limited to m*n <= 12")
-    # across the side a cell shares with its east (h_ok) or south (v_ok)
-    # neighbour, exactly one facing side must be white
-    h_ok, v_ok = (
-        np.array([[(s in WHITE_SIDES[a]) != (t in WHITE_SIDES[b]) for b in range(4)]
-                  for a in range(4)])
-        for s, t in (("E", "W"), ("S", "N"))
-    )
-    total = 4**cells
-    chunk = 1 << 20
-    seen = set()
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        digits = np.empty((cells, len(codes)), dtype=np.int64)
-        for pos in range(cells):
-            digits[pos] = ((codes >> np.uint64(2 * pos)) & np.uint64(3)).astype(np.int64)
-        ok = np.ones(len(codes), dtype=bool)
-        for r in range(m):
-            for c in range(n):
-                pos = r * n + c
-                if c + 1 < n:
-                    ok &= h_ok[digits[pos], digits[pos + 1]]
-                if r + 1 < m:
-                    ok &= v_ok[digits[pos], digits[pos + n]]
-        for col in np.nonzero(ok)[0]:
-            seen.add(canonicalize(TruchetTiling(m, n, digits[:, col].reshape(m, n))))
-    return sorted(seen, key=lambda t: tuple(t.orientation.ravel()))
 
 
 def evaluate(c: CandidateSet, chunk: int = 1024) -> CandidateSet:

@@ -1,6 +1,11 @@
 """Indexed triangle meshes with the geometric predicates the assembly and
 blocking code relies on, plus binary STL and OBJ file IO.
 
+The closed-surface check and the horizontal cross section are array code:
+directed edges are counted with one `np.unique`, and a section's area is
+summed by Green's theorem over the segments the plane cuts from the
+triangles, with no chaining into loops.
+
 Meshes are immutable: affine operations return new instances.  The overlap
 predicate reports strict interior penetration only; surface-to-surface
 contact (the normal situation between neighboring blocks in a gapless
@@ -16,7 +21,6 @@ import numpy as np
 from . import _kernels
 
 DEFAULT_TOL = 1e-9
-_CHAIN_DECIMALS = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +76,20 @@ def validate_mesh(m: TriMesh) -> None:
     )
     if np.any(areas <= 0.0):
         raise ValueError("degenerate triangle")
-    directed = {}
-    for a, b, c in m.triangles:
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (int(i), int(j))
-            directed[key] = directed.get(key, 0) + 1
-    for (i, j), count in directed.items():
-        if count != 1:
-            raise ValueError(f"directed edge {(i, j)} used {count} times")
-        if directed.get((j, i), 0) != 1:
-            raise ValueError(f"edge {{{i}, {j}}} is not shared by two opposed triangles")
+    # directed edge i -> j of each triangle, keyed i * V + j
+    nv = len(m.vertices)
+    keys, counts = np.unique(
+        m.triangles * nv + np.roll(m.triangles, -1, axis=1), return_counts=True
+    )
+    i, j = np.divmod(keys, nv)
+    twice = np.flatnonzero(counts > 1)
+    if twice.size:
+        e = twice[0]
+        raise ValueError(f"directed edge {(int(i[e]), int(j[e]))} used {counts[e]} times")
+    unpaired = np.flatnonzero(~np.isin(j * nv + i, keys))
+    if unpaired.size:
+        e = unpaired[0]
+        raise ValueError(f"edge {{{i[e]}, {j[e]}}} is not shared by two opposed triangles")
     if signed_volume(m) <= 0.0:
         raise ValueError("signed volume is not positive")
 
@@ -93,11 +101,15 @@ def signed_volume(m: TriMesh) -> float:
 
 
 def cross_section_area(m: TriMesh, z: float) -> float:
-    """Area of the polygon(s) cut by the plane at height ``z``.
+    """Area of the section cut by the plane at height ``z``, by Green's
+    theorem.
 
-    Triangle/plane segments are chained into closed loops and measured with
-    the shoelace formula.  Slices outside the open vertical extent or
-    through a vertex plane are rejected.
+    On a closed, outward-wound mesh each triangle the plane cuts has one
+    edge that falls through the plane and one that rises through it; the
+    segment from the falling cut to the rising cut runs counterclockwise
+    around the section seen from above, so half the sum of the segments'
+    cross products is its area, loops and holes included.  Slices outside
+    the open vertical extent or through a vertex plane are rejected.
     """
     z = float(z)
     zs = m.vertices[:, 2]
@@ -105,55 +117,21 @@ def cross_section_area(m: TriMesh, z: float) -> float:
         raise ValueError("degenerate slice")
     if np.any(np.abs(zs - z) < 1e-12):
         raise ValueError("degenerate slice")
+    xy = m.vertices[:, :2] - m.vertices[:, :2].mean(axis=0)
+    tail, head = m.triangles, np.roll(m.triangles, -1, axis=1)
+    below = zs < z
 
-    segments = []
-    for tri in m.triangles:
-        pts = m.vertices[tri]
-        below = pts[:, 2] < z
-        n_below = int(below.sum())
-        if n_below == 0 or n_below == 3:
-            continue
-        lone = int(np.nonzero(below == (n_below == 1))[0][0])
-        ends = []
-        for other in range(3):
-            if other == lone:
-                continue
-            p0, p1 = pts[lone], pts[other]
-            t = (z - p0[2]) / (p1[2] - p0[2])
-            q = p0 + t * (p1 - p0)
-            ends.append((q[0], q[1]))
-        segments.append(tuple(ends))
+    def cuts(lo, hi):
+        """Where the edges from lo (below the plane) to hi (above) meet it."""
+        w = (z - zs[lo]) / (zs[hi] - zs[lo])
+        return xy[lo] + w[:, None] * (xy[hi] - xy[lo])
 
-    def key(pt):
-        return (round(pt[0], _CHAIN_DECIMALS), round(pt[1], _CHAIN_DECIMALS))
-
-    link = {}
-    for idx, (a, b) in enumerate(segments):
-        link.setdefault(key(a), []).append((idx, b))
-        link.setdefault(key(b), []).append((idx, a))
-    if any(len(ends) != 2 for ends in link.values()):
-        raise ValueError("slice does not chain into closed loops")
-
-    used = set()
-    total = 0.0
-    for idx, (a, b) in enumerate(segments):
-        if idx in used:
-            continue
-        used.add(idx)
-        loop = [a, b]
-        while key(loop[-1]) != key(loop[0]):
-            step = [
-                (j, nxt) for j, nxt in link[key(loop[-1])] if j not in used
-            ]
-            if not step:
-                raise ValueError("slice does not chain into closed loops")
-            j, nxt = step[0]
-            used.add(j)
-            loop.append(nxt)
-        xs = np.array([p[0] for p in loop[:-1]])
-        ys = np.array([p[1] for p in loop[:-1]])
-        total += 0.5 * abs(np.dot(xs, np.roll(ys, -1)) - np.dot(ys, np.roll(xs, -1)))
-    return float(total)
+    # boolean indexing keeps triangle order, so p[k] and q[k] share a triangle
+    falls = ~below[tail] & below[head]
+    rises = below[tail] & ~below[head]
+    p = cuts(head[falls], tail[falls])
+    q = cuts(tail[rises], head[rises])
+    return float(0.5 * np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))
 
 
 def translate(m: TriMesh, d) -> TriMesh:
@@ -265,20 +243,6 @@ def overlap(a: TriMesh, b: TriMesh, tol: float = DEFAULT_TOL) -> bool:
     if _points_in_mesh(_interior_samples(a, tol), b, tol, rng).any():
         return True
     return bool(_points_in_mesh(_interior_samples(b, tol), a, tol, rng).any())
-
-
-def mesh_distance(a: TriMesh, b: TriMesh) -> float:
-    """Min vertex-to-surface distance between two meshes (both directions).
-
-    Exact for contacts across flat faces, which is how assembled blocks
-    meet; zero means touching.
-    """
-    return float(
-        min(
-            _kernels.point_tris_dist(a.vertices, b.corners()).min(),
-            _kernels.point_tris_dist(b.vertices, a.corners()).min(),
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from interlock.assembly import (
     TruchetTiling,
     build_assembly,
     cell_translation,
+    check_gap_scale,
     core_indices,
     count_assemblies,
     export_assembly,
@@ -21,7 +22,8 @@ from interlock.assembly import (
     validate_tiling,
 )
 from interlock.block import WHITE_SIDES, versatile_block
-from interlock.mesh import mesh_distance, read_stl, signed_volume
+from interlock.mesh import read_stl, signed_volume
+from oracles import mesh_distance
 
 
 def test_p1_pattern_is_uniform():
@@ -274,3 +276,18 @@ def test_export_assembly_manifest(tmp_path):
     combined = read_stl(tmp_path / man["combined"])
     assert len(combined.triangles) == 14 * 12
     assert signed_volume(combined) == pytest.approx(12 * 2 * 0.2**3, rel=1e-6)
+
+
+def test_float32_precision_bound_admits_the_used_sizes_and_keeps_corners_distinct(tmp_path):
+    """Gap 0.1 at scale 0.2, 0.3, 0.5 and scale 0.2 at 30x30 pass the
+    bound.  At gap 2e5 on 3x3 the farthest corner's float32 spacing is
+    exactly 1/8, the largest admitted, and every block still reads back
+    with its 9 distinct corners; twice that gap is refused."""
+    check_gap_scale(0.1, (0.2, 0.3, 0.5), 4, 5)
+    check_gap_scale(0.0, (0.2, 0.2, 0.2), 30, 30)
+    t = tiling_from_group("p1", 3, 3)
+    export_assembly(build_assembly(t, gap=2e5), tmp_path)
+    for path in sorted(tmp_path.glob("block_*.stl")):
+        assert len(read_stl(path).vertices) == 9
+    with pytest.raises(ValueError, match="float32"):
+        build_assembly(t, gap=4e5)

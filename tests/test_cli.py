@@ -361,3 +361,21 @@ def test_fuzzed_commands_exit_cleanly(argv):
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in stderr.getvalue()
         assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["assemble", "--group", "p1"], ["enumerate", "--top-k", "1"]],
+    ids=["assemble", "enumerate"],
+)
+@pytest.mark.parametrize(
+    "flag", [["--gap", "1e8"], ["--scale", "1e-320"]], ids=["gap-1e8", "scale-subnormal"]
+)
+def test_gap_or_scale_beyond_float32_precision_is_invalid(tmp_path, capsys, command, flag):
+    """At gap 1e8 the float32 spacing near the farthest corner is 64, and a
+    subnormal scale rounds to float32 zero: both would merge corners."""
+    out = tmp_path / "x"
+    code, _, stderr = run(capsys, *command, "--rows", "3", "--cols", "3", *flag, "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert not out.exists()

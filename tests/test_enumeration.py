@@ -16,7 +16,6 @@ from interlock.enumeration import (
     METRICS,
     CandidateSet,
     Ranking,
-    brute_force_tilings,
     canonicalize,
     enumerate_tilings,
     evaluate,
@@ -28,6 +27,7 @@ from interlock.enumeration import (
     write_ranking_json,
     export_top_k,
 )
+from oracles import brute_force_tilings
 
 
 def _key(t: TruchetTiling) -> bytes:
@@ -114,6 +114,24 @@ def test_canonicalize_is_idempotent(hv):
     t = TruchetTiling(len(h), len(v), grid_from_letters(h, v))
     once = canonicalize(t)
     assert _key(canonicalize(once)) == _key(once)
+
+
+@settings(max_examples=40, deadline=None)
+@given(letter_tilings())
+def test_canonicalize_is_idempotent_and_constant_on_complement_classes(hv):
+    """All 8 images under the letter-complement group (complement all of h,
+    all of v, or all of v but the first) have one representative, which is
+    its own canonical form."""
+    h, v = hv
+    m, n = len(h), len(v)
+    images = {
+        canonicalize(TruchetTiling(m, n, grid_from_letters(h2, v2)))
+        for h2 in (h, _flip(h))
+        for v2 in (v, _flip(v), _flip(v, start=1), _flip(_flip(v), start=1))
+    }
+    assert len(images) == 1
+    (rep,) = images
+    assert canonicalize(rep) == rep
 
 
 def test_evaluate_fills_results_and_conserves_mass():

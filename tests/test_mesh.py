@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from interlock import mesh
 from interlock.assembly import build_assembly, place_block, tiling_from_group
+from interlock.block import oriented_block
 from interlock.mesh import (
     TriMesh,
     _points_in_mesh,
     aabb,
     cross_section_area,
     euler_characteristic,
-    mesh_distance,
     overlap,
     point_in_mesh,
     read_stl,
@@ -27,6 +27,7 @@ from interlock.mesh import (
     write_obj,
     write_stl,
 )
+from oracles import edges_pair_up, mesh_distance
 
 _R_CW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -338,3 +339,87 @@ def test_obj_export_format(tmp_path):
     assert idx.min() == 1 and idx.max() == 16
     # faces of the second mesh index past the first mesh block
     assert idx[12:].min() == 9
+
+
+def _union(*meshes: TriMesh) -> TriMesh:
+    """One mesh holding the given meshes as separate components."""
+    offsets = np.cumsum([0] + [len(m.vertices) for m in meshes[:-1]])
+    return TriMesh(
+        np.concatenate([m.vertices for m in meshes]),
+        np.concatenate([m.triangles + k for m, k in zip(meshes, offsets)]),
+    )
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("sx, sy, sz", [(1.0, 1.0, 1.0), (0.2, 0.3, 0.5), (3.0, 0.7, 2.0)])
+def test_block_cross_section_is_exact_when_scaled_and_moved(k, sx, sy, sz):
+    base = scale(oriented_block(k), sx, sy, sz)
+    rng = np.random.default_rng(k)
+    for d in rng.uniform(-15.0, 15.0, (10, 3)):
+        m = translate(base, d)
+        for z in d[2] + sz * np.array([0.01, 0.3, 0.5, 0.77, 0.99]):
+            area = cross_section_area(m, z)
+            assert abs(area - 2 * sx * sy) <= 1e-13 * 2 * sx * sy
+
+
+def test_cross_section_adds_components_and_subtracts_cavities():
+    small = translate(scale(unit_cube(), 0.5, 2.0, 1.0), (3.0, -1.0, 0.0))
+    assert cross_section_area(_union(unit_cube(), small), 0.5) == pytest.approx(2.0, rel=1e-15)
+    # a cube with a cavity: the inner cube wound inward
+    outer = translate(scale(unit_cube(), 3.0, 3.0, 3.0), (-1.0, -1.0, -1.0))
+    inner = unit_cube()
+    hollow = _union(outer, TriMesh(inner.vertices, inner.triangles[:, ::-1]))
+    validate_mesh(hollow)
+    assert cross_section_area(hollow, 0.5) == pytest.approx(8.0, rel=1e-15)
+
+
+def _degenerate() -> TriMesh:
+    v = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]], dtype=float)
+    return TriMesh(v, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]))
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (lambda t: np.vstack([t, t[:1]]), r"directed edge \(\d+, \d+\) used 2 times"),
+        (lambda t: t[1:], r"edge \{\d+, \d+\} is not shared by two opposed triangles"),
+        (lambda t: np.vstack([t[:1, ::-1], t[1:]]), r"directed edge \(\d+, \d+\) used 2 times"),
+        (None, "degenerate triangle"),
+        (lambda t: t[:, ::-1], "signed volume is not positive"),
+    ],
+    ids=["duplicated-edge", "open", "flipped-triangle", "degenerate", "inverted"],
+)
+def test_validate_mesh_names_each_rejection(broken, message):
+    m = unit_cube()
+    bad = _degenerate() if broken is None else TriMesh(m.vertices, broken(m.triangles))
+    with pytest.raises(ValueError, match=message):
+        validate_mesh(bad)
+
+
+def test_validate_mesh_edge_rule_agrees_with_a_dict_count():
+    """Blocks with up to two triangles flipped, deleted, duplicated or
+    re-indexed: the edge messages appear exactly when the dict count
+    finds an edge used twice or unpaired."""
+    rng = np.random.default_rng(26)
+    for trial in range(600):
+        block = oriented_block(trial % 4)
+        t = block.triangles.copy()
+        for _ in range(rng.integers(1, 3)):
+            i = rng.integers(len(t))
+            kind = rng.integers(4)
+            if kind == 0:
+                t[i] = t[i][::-1]
+            elif kind == 1:
+                t = np.delete(t, i, axis=0)
+            elif kind == 2:
+                t = np.vstack([t, t[i : i + 1]])
+            else:
+                t[i, rng.integers(3)] = rng.integers(9)
+        m = TriMesh(block.vertices, t)
+        try:
+            validate_mesh(m)
+            verdict = "valid"
+        except ValueError as exc:
+            verdict = str(exc)
+        if verdict != "degenerate triangle":
+            assert verdict.startswith(("directed edge", "edge {")) == (not edges_pair_up(m))
