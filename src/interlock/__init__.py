@@ -8,7 +8,6 @@ enumerate/screen the whole design space of valid tilings.
 from ._kernels import BACKEND
 from .assembly import (
     Assembly,
-    Isometry3,
     TruchetTiling,
     build_assembly,
     count_assemblies,
@@ -60,7 +59,6 @@ __all__ = [
     "CandidateSet",
     "FlowError",
     "FlowResult",
-    "Isometry3",
     "TransferMatrix",
     "TriMesh",
     "TruchetTiling",

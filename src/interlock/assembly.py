@@ -1,6 +1,8 @@
 """Assemblies as Truchet tilings: the letter model of valid tilings, the
-lean rule, the p1/pg/p4 wallpaper patterns, block placement on the
-diamond lattice, frame/core partition, and STL + manifest export.
+lean rule, the p1/pg/p4 wallpaper patterns, frame/core partition, block
+placement on the diamond lattice as arrays, and STL + manifest export.
+One formula, `block_vertices`, places every block, on and off the grid;
+an `Assembly` builds meshes only when `blocks` is read.
 
 Grid cells are addressed (row, col), 1-based, with linear index
 (r - 1) * cols + c.  Cell (r, c) sits at r * (1, -1) + c * (1, 1) in
@@ -18,12 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .block import _R_CW, BLOCK_CENTER_XY, oriented_block
-from .mesh import TriMesh, translate, scale as scale_mesh, write_stl
+from .block import _R_CW, BLOCK_CENTER_XY, BLOCK_TRIANGLES, oriented_block
+from .mesh import TriMesh, write_stl
 
 ROW_STEP = np.array([1.0, -1.0])
 COL_STEP = np.array([1.0, 1.0])
@@ -159,63 +163,57 @@ def rotate_tiling(t: TruchetTiling) -> TruchetTiling:
     return TruchetTiling(t.cols, t.rows, o)
 
 
-@dataclass(frozen=True)
-class Assembly:
-    """Placed blocks: (linear index, placement isometry, scaled mesh)
-    triples plus the frame/core split.
-
-    The placement isometry maps the canonical block to its pose in lattice
-    units; the stored mesh additionally carries the diag(a, b, c) scale.
-    """
-
-    tiling: TruchetTiling
-    blocks: tuple
-    frame: frozenset
-    core: frozenset
-    gap: float
-    scale: tuple
-
-
-def cell_translation(r: int, c: int, gap: float = 0.0) -> np.ndarray:
-    """Lattice-unit xy position of cell (r, c); gap > 0 spreads the lattice
-    so every block gains gap/2 clearance per side."""
-    return (1.0 + gap) * (r * ROW_STEP + c * COL_STEP)
-
-
-@dataclass(frozen=True, eq=False)
-class Isometry3:
-    """Rigid motion of 3-space (here always a lifted planar isometry)."""
+class Placement(NamedTuple):
+    """Canonical block vertex p goes to matrix @ p + offset, before scaling."""
 
     matrix: np.ndarray
     offset: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix, (3, 3)))
-        object.__setattr__(self, "offset", _frozen(self.offset, (3,)))
 
-    def __eq__(self, other):
-        if not isinstance(other, Isometry3):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix) and np.array_equal(
-            self.offset, other.offset
-        )
+@dataclass(frozen=True, eq=False)
+class Assembly:
+    """One block per cell, in linear cell order, as read-only arrays: (N,)
+    orientations k, (N, 3) offsets and (N, 9, 3) vertices, those of the
+    canonical block turned by _TURN[k], moved by the offset and scaled."""
 
-    def __hash__(self):
-        return hash(tuple(self.matrix.ravel()) + tuple(self.offset))
+    tiling: TruchetTiling
+    gap: float
+    scale: tuple
+    orientation: np.ndarray
+    offset: np.ndarray
+    vertices: np.ndarray
+
+    @property
+    def frame(self) -> frozenset:
+        return frame_indices(self.tiling.rows, self.tiling.cols)
+
+    @property
+    def core(self) -> frozenset:
+        return core_indices(self.tiling.rows, self.tiling.cols)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """(linear index, Placement, scaled TriMesh) per block, built on
+        first access and kept, so each mesh keeps its overlap samples."""
+        rows = zip(self.orientation.tolist(), self.offset, self.vertices)
+        return tuple((i, Placement(_TURN[k], o), TriMesh(v, BLOCK_TRIANGLES))
+                     for i, (k, o, v) in enumerate(rows, 1))
 
 
-def _frozen(a, shape, dtype=np.float64):
-    arr = np.array(a, dtype=dtype).reshape(shape)
-    arr.flags.writeable = False
-    return arr
+def cell_translation(r, c, gap: float = 0.0) -> np.ndarray:
+    """Lattice-unit xy positions (..., 2) of cells (r, c); gap > 0 spreads
+    the lattice so every block gains gap/2 clearance per side."""
+    return (1.0 + gap) * (np.multiply.outer(r, ROW_STEP) + np.multiply.outer(c, COL_STEP))
 
 
-def _placement(k: int, r: int, c: int, gap: float) -> Isometry3:
-    rot = np.linalg.matrix_power(_R_CW, k).astype(np.float64)
-    shift = BLOCK_CENTER_XY - rot @ BLOCK_CENTER_XY + cell_translation(r, c, gap)
-    matrix = np.eye(3)
-    matrix[:2, :2] = rot
-    return Isometry3(matrix, np.array([shift[0], shift[1], 0.0]))
+# per orientation k: the turn about the block centre as a 3x3 matrix plus
+# the xy shift it needs, and the turned block's vertices
+_TURN = np.tile(np.eye(3), (4, 1, 1))
+for _k in range(4):
+    _TURN[_k, :2, :2] = np.linalg.matrix_power(_R_CW, _k)
+_TURN.flags.writeable = False
+_TURN_SHIFT = BLOCK_CENTER_XY - _TURN[:, :2, :2] @ BLOCK_CENTER_XY
+_ORIENTED = np.stack([oriented_block(k).vertices for k in range(4)])
 
 
 def check_gap_scale(gap: float, scale, rows: int, cols: int) -> None:
@@ -236,12 +234,22 @@ def check_gap_scale(gap: float, scale, rows: int, cols: int) -> None:
             raise ValueError("gap and scale put block corners past what STL's float32 resolves")
 
 
+def block_vertices(k, r, c, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """The (..., 9, 3) vertices of orientation-k blocks at cells (r, c),
+    broadcast: the oriented block, moved to the cell, then scaled.  Any
+    integer cell is allowed, so relative poses can be placed off the grid."""
+    xy = cell_translation(r, c, gap)[..., None, :]
+    shift = np.concatenate([xy, np.zeros_like(xy[..., :1])], axis=-1)
+    return (_ORIENTED[k] + shift) * np.asarray(scale, dtype=np.float64)
+
+
 def place_block(k: int, r: int, c: int, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> TriMesh:
-    """The scaled mesh of an orientation-k block at cell (r, c): the
-    oriented block, moved to the cell, then scaled.  Any integer cell is
-    allowed, so relative poses can be placed off the grid."""
-    tx, ty = cell_translation(r, c, gap)
-    return scale_mesh(translate(oriented_block(k), (tx, ty, 0.0)), *scale)
+    """The scaled mesh of an orientation-k block at cell (r, c)."""
+    if k not in (0, 1, 2, 3):
+        raise ValueError(f"orientation must be 0..3, got {k!r}")
+    if np.any(np.asarray(scale) <= 0.0):
+        raise ValueError("scale factors must be positive")
+    return TriMesh(block_vertices(k, r, c, gap, scale), BLOCK_TRIANGLES)
 
 
 def build_assembly(t: TruchetTiling, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> Assembly:
@@ -249,21 +257,14 @@ def build_assembly(t: TruchetTiling, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) ->
     if not validate_tiling(t):
         raise ValueError("invalid tiling: adjacent colors clash")
     check_gap_scale(gap, scale, t.rows, t.cols)
-    a, b, c = (float(s) for s in scale)
-    blocks = []
-    for r in range(1, t.rows + 1):
-        for col in range(1, t.cols + 1):
-            k = int(t.orientation[r - 1, col - 1])
-            mesh = place_block(k, r, col, gap, (a, b, c))
-            blocks.append((t.linear_index(r, col), _placement(k, r, col, gap), mesh))
-    return Assembly(
-        tiling=t,
-        blocks=tuple(blocks),
-        frame=frame_indices(t.rows, t.cols),
-        core=core_indices(t.rows, t.cols),
-        gap=float(gap),
-        scale=(a, b, c),
-    )
+    scale = tuple(float(s) for s in scale)
+    k = t.orientation.ravel()
+    r, c = np.indices(t.orientation.shape).reshape(2, -1) + 1
+    offset = np.column_stack([_TURN_SHIFT[k] + cell_translation(r, c, gap), np.zeros(k.size)])
+    vertices = block_vertices(k, r, c, gap, scale)
+    for a in (offset, vertices):
+        a.flags.writeable = False
+    return Assembly(t, float(gap), scale, k, offset, vertices)
 
 
 def export_assembly(assembly: Assembly, outdir, combined_name: str = "assembly.stl") -> dict:
@@ -273,26 +274,25 @@ def export_assembly(assembly: Assembly, outdir, combined_name: str = "assembly.s
     outdir.mkdir(parents=True, exist_ok=True)
     t = assembly.tiling
     width = max(3, len(str(t.rows * t.cols)))
+    soups = assembly.vertices[:, BLOCK_TRIANGLES]
+    columns = zip(assembly.orientation.tolist(), frame_mask(t.rows, t.cols).ravel().tolist(),
+                  _TURN[assembly.orientation].tolist(), assembly.offset.tolist())
     entries = []
-    for index, placement, mesh in assembly.blocks:
-        r, c = t.cell_of(index)
-        name = f"block_{index:0{width}d}.stl"
-        write_stl(mesh, outdir / name)
+    for i, (k, frame, matrix, offset) in enumerate(columns):
+        name = f"block_{i + 1:0{width}d}.stl"
+        write_stl(soups[i], outdir / name)
         entries.append(
             {
-                "index": index,
-                "row": r,
-                "col": c,
-                "orientation": int(t.orientation[r - 1, c - 1]),
-                "frame": index in assembly.frame,
+                "index": i + 1,
+                "row": i // t.cols + 1,
+                "col": i % t.cols + 1,
+                "orientation": k,
+                "frame": frame,
                 "file": name,
-                "placement": {
-                    "matrix": placement.matrix.tolist(),
-                    "offset": placement.offset.tolist(),
-                },
+                "placement": {"matrix": matrix, "offset": offset},
             }
         )
-    write_stl([m for _, _, m in assembly.blocks], outdir / combined_name)
+    write_stl(soups.reshape(-1, 3, 3), outdir / combined_name)
     manifest = {
         "rows": t.rows,
         "cols": t.cols,

@@ -40,6 +40,9 @@ def load_tiling(path) -> assembly.TruchetTiling:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("tiling JSON must be an object with rows, cols and orientations")
+    for key in ("rows", "cols", "orientations"):
+        if key not in data:
+            raise ValueError(f"tiling JSON lacks {key!r}")
     rows, cols = data["rows"], data["cols"]
     if type(rows) is not int or type(cols) is not int:
         raise ValueError("rows and cols must be integers")

@@ -181,9 +181,10 @@ def _drain_check(Q: sp.csr_matrix, R: sp.csr_matrix):
 
 def closed_form(A: TransferMatrix, x: np.ndarray) -> FlowResult:
     """Absorbing-chain limit: frame load = R^T (I - Q^T)^{-1} x_core with
-    Q, R the core->core and core->frame sub-blocks of A."""
+    Q, R the core->core and core->frame sub-blocks of A, solved on one
+    factorisation with one step of iterative refinement."""
     import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import splu
 
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n,):
@@ -203,7 +204,10 @@ def closed_form(A: TransferMatrix, x: np.ndarray) -> FlowResult:
                 component=trapped,
             )
         system = (sp.identity(k, format="csc") - Q.T.tocsc()).tocsc()
-        out[A.frame] += R.T @ spsolve(system, x[A.core])
+        lu, b = splu(system), x[A.core]
+        y = lu.solve(b)
+        y += lu.solve(b - system @ y)
+        out[A.frame] += R.T @ y
     frame_load = {int(j) + 1: float(out[j]) for j in A.frame}
     return FlowResult(frame_load, 0.0, 0, True)
 

@@ -254,6 +254,8 @@ _STL_REC = np.dtype(
 
 
 def _soups(meshes) -> np.ndarray:
+    if isinstance(meshes, np.ndarray):
+        return meshes
     if isinstance(meshes, TriMesh):
         meshes = [meshes]
     parts = [m.corners() for m in meshes]

@@ -1,14 +1,16 @@
 """Slow reference implementations the tests compare the package with."""
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from interlock import _kernels
-from interlock.assembly import TruchetTiling
-from interlock.block import WHITE_SIDES
+from interlock.assembly import COL_STEP, ROW_STEP, TruchetTiling, frame_indices
+from interlock.block import _R_CW, BLOCK_CENTER_XY, WHITE_SIDES, oriented_block
 from interlock.enumeration import canonicalize
-from interlock.mesh import TriMesh
+from interlock.mesh import TriMesh, scale as scale_mesh, translate, write_stl
 
 
 def brute_force_tilings(m: int, n: int) -> list[TruchetTiling]:
@@ -66,3 +68,71 @@ def edges_pair_up(m: TriMesh) -> bool:
         (int(i), int(j)) for a, b, c in m.triangles for i, j in ((a, b), (b, c), (c, a))
     )
     return all(count == 1 and directed[(j, i)] == 1 for (i, j), count in directed.items())
+
+
+def _cell_translation(r: int, c: int, gap: float = 0.0) -> np.ndarray:
+    return (1.0 + gap) * (r * ROW_STEP + c * COL_STEP)
+
+
+def _place_block(k: int, r: int, c: int, gap: float = 0.0, scale=(1.0, 1.0, 1.0)) -> TriMesh:
+    tx, ty = _cell_translation(r, c, gap)
+    return scale_mesh(translate(oriented_block(k), (tx, ty, 0.0)), *scale)
+
+
+def _placement(k: int, r: int, c: int, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    rot = np.linalg.matrix_power(_R_CW, k).astype(np.float64)
+    shift = BLOCK_CENTER_XY - rot @ BLOCK_CENTER_XY + _cell_translation(r, c, gap)
+    matrix = np.eye(3)
+    matrix[:2, :2] = rot
+    return matrix, np.array([shift[0], shift[1], 0.0])
+
+
+def reference_blocks(t: TruchetTiling, gap: float, scale) -> list:
+    """The per-cell loop `build_assembly` replaced: one translated, scaled
+    mesh and one placement per cell, as (index, matrix, offset, mesh)."""
+    a, b, c = (float(s) for s in scale)
+    blocks = []
+    for r in range(1, t.rows + 1):
+        for col in range(1, t.cols + 1):
+            k = int(t.orientation[r - 1, col - 1])
+            mesh = _place_block(k, r, col, gap, (a, b, c))
+            blocks.append((t.linear_index(r, col), *_placement(k, r, col, gap), mesh))
+    return blocks
+
+
+def reference_export(t: TruchetTiling, gap: float, scale, blocks, outdir) -> None:
+    """The per-mesh `export_assembly` loop over `reference_blocks`: one
+    `write_stl` per block, the combined STL and manifest.json."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    frame = frame_indices(t.rows, t.cols)
+    width = max(3, len(str(t.rows * t.cols)))
+    entries = []
+    for index, matrix, offset, mesh in blocks:
+        r, c = t.cell_of(index)
+        name = f"block_{index:0{width}d}.stl"
+        write_stl(mesh, outdir / name)
+        entries.append(
+            {
+                "index": index,
+                "row": r,
+                "col": c,
+                "orientation": int(t.orientation[r - 1, c - 1]),
+                "frame": index in frame,
+                "file": name,
+                "placement": {"matrix": matrix.tolist(), "offset": offset.tolist()},
+            }
+        )
+    write_stl([m for *_, m in blocks], outdir / "assembly.stl")
+    manifest = {
+        "rows": t.rows,
+        "cols": t.cols,
+        "group": t.group,
+        "gap": float(gap),
+        "scale": [float(s) for s in scale],
+        "combined": "assembly.stl",
+        "blocks": entries,
+    }
+    with open(outdir / "manifest.json", "w", encoding="ascii") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -17,13 +17,16 @@ from interlock.assembly import (
     count_assemblies,
     export_assembly,
     frame_indices,
+    grid_from_letters,
+    place_block,
     rotate_tiling,
     tiling_from_group,
     validate_tiling,
 )
 from interlock.block import WHITE_SIDES, versatile_block
 from interlock.mesh import read_stl, signed_volume
-from oracles import mesh_distance
+from oracles import mesh_distance, reference_blocks, reference_export
+from test_golden import LETTERS_12X9
 
 
 def test_p1_pattern_is_uniform():
@@ -291,3 +294,54 @@ def test_float32_precision_bound_admits_the_used_sizes_and_keeps_corners_distinc
         assert len(read_stl(path).vertices) == 9
     with pytest.raises(ValueError, match="float32"):
         build_assembly(t, gap=4e5)
+
+
+ASSEMBLY_CASES = {
+    # perfbench's grid_100 export, a size the golden corpus does not reach
+    "p4-30x30": (tiling_from_group("p4", 30, 30), 0.0, (0.2, 0.2, 0.2)),
+    "letters-12x9": (
+        TruchetTiling(12, 9, grid_from_letters(*([int(ch) for ch in s] for s in LETTERS_12X9))),
+        0.1,
+        (0.2, 0.3, 0.5),
+    ),
+    "p1-3x3-widest-gap": (tiling_from_group("p1", 3, 3), 2e5, (1.0, 1.0, 1.0)),
+    "1x1": (TruchetTiling(1, 1, np.array([[2]])), 0.0, (1.0, 1.0, 1.0)),
+    "2x3": (TruchetTiling(2, 3, grid_from_letters([1, 0], [0, 1, 1])), 0.25, (0.5, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_array_assembly_matches_the_per_cell_loop_bit_for_bit(case, tmp_path):
+    """Blocks and every exported byte equal those of the per-cell loop the
+    arrays replaced (`oracles.reference_blocks`, `reference_export`)."""
+    t, gap, scale = ASSEMBLY_CASES[case]
+    a = build_assembly(t, gap, scale)
+    expected = reference_blocks(t, gap, scale)
+    assert len(a.blocks) == len(expected)
+    for (index, placement, mesh), (ref_index, matrix, offset, ref_mesh) in zip(a.blocks, expected):
+        assert index == ref_index
+        assert placement.matrix.tobytes() == matrix.tobytes()
+        assert placement.offset.tobytes() == offset.tobytes()
+        assert mesh.vertices.tobytes() == ref_mesh.vertices.tobytes()
+        assert np.array_equal(mesh.triangles, ref_mesh.triangles)
+    export_assembly(a, tmp_path / "arrays")
+    reference_export(t, gap, scale, expected, tmp_path / "loop")
+    trees = [
+        {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+        for side in ("arrays", "loop")
+    ]
+    assert sorted(trees[0]) == sorted(trees[1])
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
+@pytest.mark.parametrize(
+    "k, scale, message",
+    [
+        (-1, (1.0, 1.0, 1.0), "orientation must be 0..3"),
+        (4, (1.0, 1.0, 1.0), "orientation must be 0..3"),
+        (0, (1.0, 0.0, 1.0), "scale factors must be positive"),
+    ],
+)
+def test_place_block_rejects_bad_orientations_and_scales(k, scale, message):
+    with pytest.raises(ValueError, match=message):
+        place_block(k, 1, 1, scale=scale)

@@ -188,6 +188,17 @@ def test_malformed_tiling_json_is_invalid(tmp_path, capsys, text):
     assert stderr.startswith("error:") and stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["rows", "cols", "orientations"])
+def test_tiling_json_missing_a_key_names_it(tmp_path, capsys, key):
+    payload = {"rows": 3, "cols": 3, "orientations": [0] * 9}
+    del payload[key]
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps(payload))
+    code, _, stderr = run(capsys, "flow", "--tiling", str(bad), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert stderr == f"error: tiling JSON lacks '{key}'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -273,6 +273,13 @@ def test_every_valid_tiling_drains_to_the_frame(t):
     assert r.total_frame_mass() == pytest.approx((t.rows - 2) * (t.cols - 2), abs=1e-9)
 
 
+def test_closed_form_conserves_mass_within_5e_10_on_p4_300():
+    """The unrefined solve's error grows about as n^4 on p4 and reads
+    -5.9e-9 here; one refinement step brings it to 5.8e-11."""
+    r = _wallpaper_result("p4", 300, 300)
+    assert abs(r.total_frame_mass() - 298 * 298) <= 5e-10
+
+
 def test_frame_metrics_match_a_per_row_reduction_bit_for_bit():
     rng = np.random.default_rng(3)
     loads = rng.uniform(0.0, 3.0, size=(40, 12))

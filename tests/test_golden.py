@@ -101,12 +101,29 @@ def test_outputs_match_the_golden_table(name, tmp_path):
     assert _run(name, tmp_path) == json.loads(TABLE.read_text())[name]
 
 
+def _moved(old: dict, new: dict) -> list[str]:
+    """The files, and `total=` when stdout differs, in which two records of
+    one command disagree."""
+    files_old, files_new = old.get("files", {}), new.get("files", {})
+    moved = sorted(f for f in files_old.keys() | files_new.keys()
+                   if files_old.get(f) != files_new.get(f))
+    if old.get("stdout") != new.get("stdout"):
+        moved.append("total=")
+    return moved
+
+
 def regenerate() -> None:
-    """Run every command and write the table."""
+    """Run every command, print each one whose files or `total=` line
+    moved against the committed table, and write the table."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _write_tilings(tmp)
         table = {name: _run(name, tmp) for name in COMMANDS}
+    committed = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    for name in sorted(table.keys() | committed.keys()):
+        moved = _moved(committed.get(name, {}), table.get(name, {}))
+        if moved:
+            print(f"moved {name}: {' '.join(moved)}", file=sys.stderr)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     files = sum(len(record["files"]) for record in table.values())
     print(f"wrote {len(table)} commands, {files} files to {TABLE}", file=sys.stderr)
